@@ -19,16 +19,14 @@ from typing import Optional
 
 import numpy as np
 
+from .config import DEFAULTS
 from .lti import (
     ImpulseResponse,
     PlantSpec,
     TruncationError,
     check_monotone_decay,
-    circulant,
-    cyclic_shift,
     is_convex_on_support,
-    loop_gain,
-    periodic_summation,
+    loop_matrix,
 )
 from .variation import (
     cyclic_diff,
@@ -56,13 +54,11 @@ __all__ = [
     "subharmonic_periods",
     "check_absence",
     "brute_force_fixed_points",
+    "oracle_families",
     "find_oscillations",
     "default_pmax",
     "report_from_dict",
 ]
-
-#: refuse the exhaustive 3^P oracle beyond this period by default
-ORACLE_CAP = 16
 
 #: chunk size (patterns per block) for the vectorized oracle
 _ORACLE_CHUNK = 3**10
@@ -82,8 +78,8 @@ class OscillationRecord:
     ``pattern`` is the lexicographically smallest rotation of the relay
     output; ``waveform`` is the matching loop response (its relay image
     equals ``pattern`` exactly). Every cyclic shift of the pattern is a
-    fixed pattern of the same loop, so the family is reported once and
-    ``phases`` lists the valid shifts.
+    fixed pattern of the same loop, so the family is reported once; its
+    JSON form lists every shift as a valid phase.
     """
 
     period: int
@@ -93,7 +89,6 @@ class OscillationRecord:
     pattern_unimodal: bool
     sign_symmetric: bool
     is_self_oscillation: bool
-    phases: tuple[int, ...]
 
     @property
     def admissible(self) -> bool:
@@ -112,7 +107,7 @@ class OscillationRecord:
                 "sign_symmetric": self.sign_symmetric,
                 "is_self_oscillation": self.is_self_oscillation,
             },
-            "phases": list(self.phases),
+            "phases": list(range(self.period)),
         }
 
 
@@ -154,7 +149,7 @@ class AbsenceVerdict:
 
 @dataclass(frozen=True)
 class OracleEntry:
-    """An oracle-found fixed pattern family missing from the records."""
+    """An oracle-found fixed pattern family and whether the analyzer verifies it too."""
 
     period: int
     pattern: tuple[int, ...]
@@ -222,7 +217,6 @@ def report_from_dict(d: dict) -> OscillationReport:
             pattern_unimodal=r["flags"]["pattern_unimodal"],
             sign_symmetric=r["flags"]["sign_symmetric"],
             is_self_oscillation=r["flags"]["is_self_oscillation"],
-            phases=tuple(r["phases"]),
         )
         for r in d.get("records", [])
     ]
@@ -245,7 +239,7 @@ def report_from_dict(d: dict) -> OscillationReport:
 # -- bounds ---------------------------------------------------------------
 
 
-def dominance_index(g0: ImpulseResponse, tol: float = 1e-12) -> int:
+def dominance_index(g0: ImpulseResponse, tol: float = DEFAULTS.tol) -> int:
     """Smallest t >= 1 whose leading partial sum strictly outweighs the tail.
 
     That is, the first t with sum_{k<t} g0(k) - sum_{k>=t} g0(k) > 0,
@@ -265,7 +259,7 @@ def dominance_index(g0: ImpulseResponse, tol: float = 1e-12) -> int:
             raise TruncationError("partial-sum dominance undecidable within the horizon")
 
 
-def period_bounds(plant: PlantSpec, tol: float = 1e-12) -> PeriodBounds:
+def period_bounds(plant: PlantSpec, tol: float = DEFAULTS.tol) -> PeriodBounds:
     """Period window for single-peaked oscillations with P >= delay.
 
     Requires delay >= 1. The convex tightening is attached whenever the
@@ -285,15 +279,15 @@ def period_bounds(plant: PlantSpec, tol: float = 1e-12) -> PeriodBounds:
     )
 
 
-def default_pmax(plant: PlantSpec, tol: float = 1e-12) -> int:
-    """Default sweep ceiling: the provable upper bound plus two slack steps.
+def default_pmax(plant: PlantSpec, tol: float = DEFAULTS.tol) -> int:
+    """Default sweep ceiling: the provable upper bound plus ``DEFAULTS.pmax_slack``.
 
     Nothing single-peaked exists beyond the bound, so the slack exists
     to detect bound violations as loud failures instead of silence.
     """
     if plant.delay < 1:
-        return 2 * (1 + dominance_index(plant.g0, tol)) + 2
-    return period_bounds(plant, tol).upper + 2
+        return 2 * (1 + dominance_index(plant.g0, tol)) + DEFAULTS.pmax_slack
+    return period_bounds(plant, tol).upper + DEFAULTS.pmax_slack
 
 
 # -- pattern enumeration --------------------------------------------------
@@ -309,42 +303,33 @@ def canonical_rotation(pattern) -> tuple[int, ...]:
 def enumerate_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
     """All single-peaked relay patterns of a given length, one per rotation family.
 
-    The four run shapes are [+^a 0 -^b 0], [+^a -^b 0], [+^a 0 -^b] and
-    [+^a -^b] with a, b >= 1, closed under rotation and deduplicated to
-    the canonical rotation. Every returned pattern has zero-resolved
-    cyclic variation exactly 2, and these are the only fixed-point
-    candidates with that property (one-signed patterns can never match
-    the sign-flipped loop output).
+    The run shapes [+^a -^b], [+^a -^b 0], [+^a 0 -^b] and [+^a 0 -^b 0]
+    (a, b >= 1) are emitted directly in canonical rotation [-^b z1 +^a z2],
+    z1 and z2 each empty or one zero. Every returned pattern has
+    zero-resolved cyclic variation exactly 2, and these are the only
+    fixed-point candidates with that property (one-signed patterns can
+    never match the sign-flipped loop output).
     """
     if period < 2:
         raise ValueError("patterns need at least two entries")
-    found = set()
-    for a in range(1, period):
-        b = period - a
-        if b >= 1:
-            found.add(canonical_rotation([1] * a + [-1] * b))
-    for a in range(1, period - 1):
-        b = period - 1 - a
-        if b >= 1:
-            found.add(canonical_rotation([1] * a + [-1] * b + [0]))
-            found.add(canonical_rotation([1] * a + [0] + [-1] * b))
-    for a in range(1, period - 2):
-        b = period - 2 - a
-        if b >= 1:
-            found.add(canonical_rotation([1] * a + [0] + [-1] * b + [0]))
-    return sorted(found)
+    out = []
+    # sorted order: longer negative runs first, a zero before a positive sample
+    for b in range(period - 1, 0, -1):
+        for z1 in ((0,), ()):
+            for z2 in ((0,), ()):
+                a = period - b - len(z1) - len(z2)
+                if a >= 1:
+                    out.append((-1,) * b + z1 + (1,) * a + z2)
+    return out
 
 
 # -- fixed-point verification ----------------------------------------------
 
 
-def _verify_pattern(folded: np.ndarray, delay: int, dead_zone: float, pattern: np.ndarray):
-    """Loop response for a pattern given the already-folded kernel; None if not fixed."""
-    period = folded.size
-    y = circulant(folded) @ pattern
-    u = -np.roll(y, delay % period)
-    image = np.where(u > dead_zone, 1, np.where(u < -dead_zone, -1, 0))
-    if not np.array_equal(image, pattern.astype(np.int64)):
+def _fixed_waveform(K: np.ndarray, pattern: np.ndarray, dead_zone: float) -> Optional[np.ndarray]:
+    """The waveform K @ pattern when its relay image is the pattern, else None."""
+    u = K @ pattern
+    if not np.array_equal(relay_vec(u, dead_zone), pattern):
         return None
     return u
 
@@ -353,10 +338,7 @@ def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
     period = int(u.size)
     canon = canonical_rotation(pattern)
     # align the stored waveform with the canonical rotation
-    for k in range(period):
-        if tuple(int(x) for x in np.roll(pattern, k)) == canon:
-            u = np.roll(u, k)
-            break
+    u = np.roll(u, next(k for k in range(period) if tuple(np.roll(pattern, k).astype(int)) == canon))
     diff_var = cyclic_sign_changes(cyclic_diff(u))
     return OscillationRecord(
         period=period,
@@ -366,11 +348,10 @@ def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
         pattern_unimodal=max_cyclic_sign_changes(np.asarray(canon, float)) == 2,
         sign_symmetric=is_sign_symmetric(np.asarray(canon, float)),
         is_self_oscillation=diff_var >= 2,
-        phases=tuple(range(period)),
     )
 
 
-def verify_fixed_point(plant: PlantSpec, pattern, tol: float = 1e-12) -> Optional[OscillationRecord]:
+def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> Optional[OscillationRecord]:
     """Check one relay pattern as a fixed point of the loop.
 
     Returns a record when the relay image of the loop response equals
@@ -383,8 +364,7 @@ def verify_fixed_point(plant: PlantSpec, pattern, tol: float = 1e-12) -> Optiona
         raise ValueError("pattern must have at least two entries")
     if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
         raise ValueError("pattern entries must lie in {-1, 0, +1}")
-    folded = periodic_summation(plant.g0, s.size, tol).values
-    u = _verify_pattern(folded, plant.delay, plant.dead_zone, s)
+    u = _fixed_waveform(loop_matrix(plant, s.size, tol), s, plant.dead_zone)
     if u is None:
         return None
     return _record_from(u, s)
@@ -397,42 +377,41 @@ def base_pattern(delay: int) -> tuple[int, ...]:
     return tuple([1] * delay + [-1] * delay)
 
 
-def exists_base_oscillation(plant: PlantSpec, tol: float = 1e-12) -> bool:
+def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool:
     """Existence of the oscillation with period exactly twice the delay.
 
-    Decided by a single scalar: the first entry of the folded-kernel
-    circulant applied to the half-and-half pattern, compared against the
-    dead zone. The full fixed-point verification must agree; a mismatch
-    would falsify the scalar criterion and raises InternalCheckError.
+    Decided by a single scalar: the loop response to the half-and-half
+    pattern at slot ``delay``, negated and compared against the dead
+    zone. The full fixed-point verification of the same response must
+    agree; a mismatch would falsify the scalar criterion and raises
+    InternalCheckError.
     """
     if plant.delay < 1:
         raise ValueError("the base oscillation needs a positive delay")
     s = np.asarray(base_pattern(plant.delay), dtype=float)
-    period = s.size
-    folded = periodic_summation(plant.g0, period, tol).values
-    scalar = float(circulant(folded)[0] @ s)
+    u = loop_matrix(plant, s.size, tol) @ s
+    scalar = -float(u[plant.delay])
     exists = scalar > plant.dead_zone
-    verified = verify_fixed_point(plant, s, tol) is not None
+    verified = np.array_equal(relay_vec(u, plant.dead_zone), s)
     if exists != verified:
         raise InternalCheckError(
             f"scalar existence test ({scalar:.12g} vs dead zone {plant.dead_zone:.12g}) "
-            f"disagrees with direct verification at period {period}"
+            f"disagrees with direct verification at period {s.size}"
         )
     return exists
 
 
-def dead_zone_threshold(plant: PlantSpec, tol: float = 1e-12) -> float:
+def dead_zone_threshold(plant: PlantSpec, tol: float = DEFAULTS.tol) -> float:
     """Largest dead zone below which the base-period family persists.
 
-    Equals the delay-th largest entry of the delay-folded kernel's
-    circulant applied to the half-and-half pattern, which is also the
-    smallest positive entry of the base-period waveform.
+    Equals the delay-th largest entry of minus the loop response to the
+    half-and-half pattern, which is also the smallest positive entry of
+    the base-period waveform.
     """
     if plant.delay < 1:
         raise ValueError("the threshold needs a positive delay")
-    period = 2 * plant.delay
-    folded = cyclic_shift(periodic_summation(plant.g0, period, tol).values, plant.delay % period)
-    prod = circulant(folded) @ np.asarray(base_pattern(plant.delay), dtype=float)
+    s = np.asarray(base_pattern(plant.delay), dtype=float)
+    prod = -(loop_matrix(plant, s.size, tol) @ s)
     return float(np.sort(prod)[::-1][plant.delay - 1])
 
 
@@ -445,14 +424,11 @@ def subharmonic_periods(delay: int) -> list[int]:
     """
     if delay < 1:
         raise ValueError("delay must be at least 1")
-    periods = []
-    for d in range(1, delay + 1):
-        if delay % d == 0 and d % 2 == 1:
-            periods.append(2 * delay // d)
-    return sorted(periods, reverse=True)
+    # ascending odd divisors give descending periods
+    return [2 * delay // d for d in range(1, delay + 1, 2) if delay % d == 0]
 
 
-def check_absence(plant: PlantSpec, tol: float = 1e-12) -> AbsenceVerdict:
+def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict:
     """Zero-delay loops with monotone decay admit no single-peaked oscillation.
 
     Applicable when the loop has no pure delay (the response starts at a
@@ -479,8 +455,8 @@ def check_absence(plant: PlantSpec, tol: float = 1e-12) -> AbsenceVerdict:
 def brute_force_fixed_points(
     plant: PlantSpec,
     period: int,
-    cap: int = ORACLE_CAP,
-    tol: float = 1e-12,
+    cap: int = DEFAULTS.oracle_cap,
+    tol: float = DEFAULTS.tol,
 ) -> list[tuple[int, ...]]:
     """Every fixed sign pattern at one period, by exhausting all 3^P of them.
 
@@ -494,19 +470,36 @@ def brute_force_fixed_points(
         raise ValueError("period must be positive")
     if period > cap:
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
-    folded = cyclic_shift(periodic_summation(plant.g0, period, tol).values, plant.delay % period)
-    kernel = circulant(folded).T  # row s -> row u through s @ kernel
+    kernel = loop_matrix(plant, period, tol).T  # row s -> row u through s @ kernel
     powers = 3 ** np.arange(period, dtype=np.int64)
     total = 3**period
     found: list[tuple[int, ...]] = []
     for start in range(0, total, _ORACLE_CHUNK):
         codes = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
         digits = ((codes[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
-        u = -(digits.astype(np.float64) @ kernel)
-        image = np.where(u > plant.dead_zone, 1, np.where(u < -plant.dead_zone, -1, 0)).astype(np.int8)
+        image = relay_vec(digits.astype(np.float64) @ kernel, plant.dead_zone)
         hits = np.all(image == digits, axis=1) & np.any(digits != 0, axis=1)
         found.extend(tuple(int(x) for x in row) for row in digits[hits])
     return sorted(found)
+
+
+def oracle_families(plant: PlantSpec, K: np.ndarray, tol: float = DEFAULTS.tol) -> list[OracleEntry]:
+    """Every fixed pattern family the oracle finds at the period of K, sorted.
+
+    Each family is reported by its canonical rotation. ``in_analyzer``
+    states whether the analyzer verifies that rotation through the same
+    loop matrix K; only single-peaked families are analyzer candidates.
+    The oracle itself runs uncapped: callers enforce their own cap.
+    """
+    period = K.shape[0]
+    fixed = brute_force_fixed_points(plant, period, cap=period, tol=tol)
+    out = []
+    for canon in sorted({canonical_rotation(p) for p in fixed}):
+        arr = np.asarray(canon, dtype=float)
+        peaked = max_cyclic_sign_changes(arr) == 2
+        in_analyzer = peaked and _fixed_waveform(K, arr, plant.dead_zone) is not None
+        out.append(OracleEntry(period, canon, peaked, in_analyzer))
+    return out
 
 
 # -- orchestration ----------------------------------------------------------
@@ -548,7 +541,7 @@ def find_oscillations(
     pmax: Optional[int] = None,
     prune_sign_symmetric: bool = False,
     oracle_pmax: int = 0,
-    tol: float = 1e-12,
+    tol: float = DEFAULTS.tol,
 ) -> OscillationReport:
     """Sweep all single-peaked patterns up to ``pmax`` and verify fixed points.
 
@@ -565,18 +558,37 @@ def find_oscillations(
         pmax = default_pmax(plant, tol)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
+    effective_oracle = min(oracle_pmax, pmax)
     records: list[OscillationRecord] = []
+    oracle_entries: list[OracleEntry] = []
+    oracle_violations: list[str] = []
     for period in range(2, pmax + 1):
-        folded = periodic_summation(plant.g0, period, tol).values
+        K = loop_matrix(plant, period, tol)
+        here = []
         for pattern in enumerate_unimodal_patterns(period):
             arr = np.asarray(pattern, dtype=float)
             if prune_sign_symmetric:
                 pos, neg, zero = sign_counts(arr)
                 if zero == 0 and pos != neg:
                     continue
-            u = _verify_pattern(folded, plant.delay, plant.dead_zone, arr)
+            u = _fixed_waveform(K, arr, plant.dead_zone)
             if u is not None:
-                records.append(_record_from(u, arr))
+                here.append(_record_from(u, arr))
+        records.extend(here)
+        if period > effective_oracle:
+            continue
+        families = oracle_families(plant, K, tol)
+        for entry in (e for e in families if not e.in_analyzer):
+            oracle_entries.append(entry)
+            if entry.pattern_unimodal:
+                oracle_violations.append(
+                    f"oracle found an unmatched single-peaked fixed pattern {entry.pattern} "
+                    f"at period {period}"
+                )
+        for canon in sorted({r.pattern for r in here} - {e.pattern for e in families}):
+            oracle_violations.append(
+                f"analyzer record {canon} at period {period} is missing from the oracle"
+            )
     records.sort(key=lambda r: (r.period, r.pattern))
 
     bounds = period_bounds(plant, tol) if plant.delay >= 1 else None
@@ -592,29 +604,7 @@ def find_oscillations(
                     f"record period {rec.period} falls in the excluded window "
                     f"({bounds.delay}, {bounds.lower})"
                 )
-
-    oracle_entries: list[OracleEntry] = []
-    effective_oracle = min(oracle_pmax, pmax)
-    for period in range(2, effective_oracle + 1):
-        families: dict[tuple[int, ...], bool] = {}
-        for pat in brute_force_fixed_points(plant, period, cap=max(ORACLE_CAP, period), tol=tol):
-            canon = canonical_rotation(pat)
-            if canon not in families:
-                families[canon] = max_cyclic_sign_changes(np.asarray(canon, float)) == 2
-        analyzer_here = {r.pattern for r in records if r.period == period}
-        for canon, unimodal_pat in sorted(families.items()):
-            matched = canon in analyzer_here
-            if unimodal_pat and not matched:
-                violations.append(
-                    f"oracle found an unmatched single-peaked fixed pattern {canon} "
-                    f"at period {period}"
-                )
-            if not matched:
-                oracle_entries.append(OracleEntry(period, canon, unimodal_pat, False))
-        for canon in sorted(analyzer_here - set(families)):
-            violations.append(
-                f"analyzer record {canon} at period {period} is missing from the oracle"
-            )
+    violations.extend(oracle_violations)
 
     return OscillationReport(
         plant=plant,

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import DEFAULTS
 from .lti import PlantSpec, check_monotone_decay, circulant_apply, loop_gain
 from .variation import (
     cyclic_diff,
@@ -173,7 +174,7 @@ class LoopInvarianceReport:
         return True
 
 
-def open_loop_variation_check(plant: PlantSpec, u, tol: float = 1e-12) -> LoopInvarianceReport:
+def open_loop_variation_check(plant: PlantSpec, u, tol: float = DEFAULTS.tol) -> LoopInvarianceReport:
     """Check the loop response of a candidate periodic waveform.
 
     Computes one period of the loop gain driven by relay(u) and reports

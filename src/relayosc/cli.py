@@ -17,19 +17,16 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import analyzer
 from .config import DEFAULTS
 from .simulate import SimulationError, classify, detect_period, simulate
 from .lti import (
-    ImpulseResponse,
     PlantSpec,
     UnstablePlantError,
     check_monotone_decay,
     is_convex_on_support,
+    loop_matrix,
 )
-from .variation import max_cyclic_sign_changes
 
 __all__ = ["main"]
 
@@ -50,29 +47,32 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _build_plant(args) -> PlantSpec:
+def _build_spec(args) -> dict:
+    """The one plant source as a plant-file dict; inline sources carry no delay."""
     sources = [s for s in (args.plant, args.geometric, args.rational, args.samples) if s]
     if len(sources) != 1:
         raise ValueError("give exactly one plant source (--plant, --geometric, --rational or --samples)")
     if args.plant:
         with open(args.plant, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        if args.delay is not None:
-            spec["delay"] = _parse_int_list(args.delay)[0]
-        if args.dead_zone is not None:
-            spec["dead_zone"] = _parse_float_list(args.dead_zone)[0]
-        return PlantSpec.from_dict(spec)
-    delay = _parse_int_list(args.delay)[0] if args.delay is not None else 0
-    dz = _parse_float_list(args.dead_zone)[0] if args.dead_zone is not None else 0.0
+            return json.load(fh)
     if args.geometric:
         parts = _parse_float_list(args.geometric)
-        g = ImpulseResponse.geometric(parts[0], parts[1] if len(parts) > 1 else 1.0)
+        g = {"kind": "geometric", "ratio": parts[0], "gain": parts[1] if len(parts) > 1 else 1.0}
     elif args.rational:
         num_text, den_text = args.rational.split("/")
-        g = ImpulseResponse.from_rational(_parse_float_list(num_text), _parse_float_list(den_text))
+        g = {"kind": "rational", "num": _parse_float_list(num_text), "den": _parse_float_list(den_text)}
     else:
-        g = ImpulseResponse.from_samples(_parse_float_list(args.samples))
-    return PlantSpec.from_response(g, delay, dz)
+        g = {"kind": "samples", "values": _parse_float_list(args.samples)}
+    return {"plant": g}
+
+
+def _build_plant(args) -> PlantSpec:
+    spec = _build_spec(args)
+    if args.delay is not None:
+        spec["delay"] = _parse_int_list(args.delay)[0]
+    if args.dead_zone is not None:
+        spec["dead_zone"] = _parse_float_list(args.dead_zone)[0]
+    return PlantSpec.from_dict(spec)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -172,15 +172,18 @@ def cmd_analyze(args) -> int:
     return 2 if report.violations else 0
 
 
-def _sweep_cell(plant_dict: dict, delay: int, dead_zone: float, pmax, prune: bool, tol: float):
-    """One (delay, dead zone) cell; module-level so worker pools can pickle it."""
-    plant = PlantSpec.from_dict({"plant": plant_dict, "delay": delay, "dead_zone": dead_zone})
-    cell_pmax = pmax or analyzer.default_pmax(plant, tol)
-    report = analyzer.find_oscillations(plant, pmax=cell_pmax, prune_sign_symmetric=prune, tol=tol)
-    points = sorted({(delay, rec.period) for rec in report.records})
+def _sweep_cell(spec: dict, delay: int, dead_zone: float, pmax, prune: bool, tol: float):
+    """One (delay, dead zone) cell, built as ``analyze`` builds its plant.
+
+    Module-level so worker pools can pickle it. Points and bounds carry
+    the loop delay, which includes any pure delay of the response.
+    """
+    plant = PlantSpec.from_dict({**spec, "delay": delay, "dead_zone": dead_zone})
+    report = analyzer.find_oscillations(plant, pmax=pmax or None, prune_sign_symmetric=prune, tol=tol)
+    points = sorted({(plant.delay, rec.period) for rec in report.records})
     bounds = report.bounds
     return {
-        "delay": delay,
+        "delay": plant.delay,
         "dead_zone": dead_zone,
         "points": points,
         "bounds": bounds.to_dict() if bounds else None,
@@ -197,8 +200,9 @@ def cmd_sweep(args) -> int:
     zones = _parse_float_list(args.dead_zone) if args.dead_zone is not None else [0.0]
     if not delays or not zones:
         raise ValueError("sweep ranges must be nonempty")
-    base = _build_plant_base_dict(args)
-    cells = [(base, d, z, args.pmax, args.prune, args.tol) for z in zones for d in delays]
+    spec = _build_spec(args)
+    _require_decay(PlantSpec.from_dict({**spec, "delay": delays[0], "dead_zone": zones[0]}), args.tol)
+    cells = [(spec, d, z, args.pmax, args.prune, args.tol) for z in zones for d in delays]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_cell, *zip(*cells)))
@@ -212,7 +216,7 @@ def cmd_sweep(args) -> int:
             {pt for res in results if res["dead_zone"] == zone for pt in res["points"]}
         )
         lines = ["Pd,P"] + [f"{pd},{p}" for pd, p in rows]
-        path = _zone_path(args.out, zone) if multi else args.out
+        path = _tagged_path(args.out, "dz" + _fmt(zone).replace(".", "p")) if multi else args.out
         _write_or_print("\n".join(lines) + "\n", path)
         print(f"{len(rows)} (Pd, P) points -> {path}")
         bnd_lines = ["Pd,lower,upper,upper_convex,dominance_index"]
@@ -233,31 +237,6 @@ def cmd_sweep(args) -> int:
     return 2 if violations else 0
 
 
-def _zone_path(out: str, zone: float) -> str:
-    stem, dot, ext = out.rpartition(".")
-    tag = _fmt(zone).replace(".", "p")
-    return f"{stem}_dz{tag}{dot}{ext}" if stem else f"{out}_dz{tag}"
-
-
-def _build_plant_base_dict(args) -> dict:
-    """Impulse-response part of the plant, without delay or dead zone."""
-    probe = _build_plant_with_defaults(args)
-    return probe.g0.to_dict()
-
-
-def _build_plant_with_defaults(args) -> PlantSpec:
-    # delay/dead-zone flags may hold lists during sweeps; neutralize them
-    class _Shim:
-        plant = args.plant
-        geometric = args.geometric
-        rational = args.rational
-        samples = args.samples
-        delay = None
-        dead_zone = None
-
-    return _build_plant(_Shim)
-
-
 def cmd_simulate(args) -> int:
     plant = _build_plant(args)
     seeds: list[list[int]] = []
@@ -270,10 +249,9 @@ def cmd_simulate(args) -> int:
     if not seeds:
         raise ValueError("simulate needs --seed lists or --seed-file")
     print("seed,period,phase,admissible,self_oscillation,residual,error")
-    code = 0
     for idx, seed in enumerate(seeds):
         try:
-            traj = simulate(plant, seed, args.steps, DEFAULTS.divergence_factor)
+            traj = simulate(plant, seed, args.steps)
         except SimulationError as exc:
             # per-seed errors are reported as rows, not fatal
             print(f"{idx},,,,,,\"{exc}\"")
@@ -289,17 +267,18 @@ def cmd_simulate(args) -> int:
             f"{int(flags.is_self_oscillation)},{_fmt(flags.residual)},"
         )
         if args.out:
-            path = f"{args.out}" if len(seeds) == 1 else _indexed_path(args.out, idx)
+            path = args.out if len(seeds) == 1 else _tagged_path(args.out, f"seed{idx}")
             rows = ["t,u,r"] + [
                 f"{t},{_fmt(traj.u[t])},{traj.relay_out[t]}" for t in range(len(traj))
             ]
             _write_or_print("\n".join(rows) + "\n", path)
-    return code
+    return 0
 
 
-def _indexed_path(out: str, idx: int) -> str:
+def _tagged_path(out: str, tag: str) -> str:
+    """``out`` with ``_tag`` inserted before its extension."""
     stem, dot, ext = out.rpartition(".")
-    return f"{stem}_seed{idx}{dot}{ext}" if stem else f"{out}_seed{idx}"
+    return f"{stem}_{tag}{dot}{ext}" if stem else f"{out}_{tag}"
 
 
 def cmd_oracle(args) -> int:
@@ -312,17 +291,11 @@ def cmd_oracle(args) -> int:
         )
     print("period,pattern,single_peaked,in_analyzer")
     for period in range(2, pmax + 1):
-        fixed = analyzer.brute_force_fixed_points(plant, period, cap=args.oracle_cap, tol=args.tol)
-        families = sorted({analyzer.canonical_rotation(p) for p in fixed})
-        analyzer_here = set()
-        for pat in analyzer.enumerate_unimodal_patterns(period):
-            rec = analyzer.verify_fixed_point(plant, pat, tol=args.tol)
-            if rec is not None:
-                analyzer_here.add(rec.pattern)
-        for fam in families:
-            peaked = max_cyclic_sign_changes(np.asarray(fam, dtype=float)) == 2
+        K = loop_matrix(plant, period, args.tol)
+        for entry in analyzer.oracle_families(plant, K, args.tol):
             print(
-                f"{period},{' '.join(str(x) for x in fam)},{int(peaked)},{int(fam in analyzer_here)}"
+                f"{period},{' '.join(str(x) for x in entry.pattern)},"
+                f"{int(entry.pattern_unimodal)},{int(entry.in_analyzer)}"
             )
     return 0
 

@@ -23,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from .config import DEFAULTS
+
 __all__ = [
     "UnstablePlantError",
     "TruncationError",
@@ -38,6 +40,7 @@ __all__ = [
     "circulant",
     "circulant_apply",
     "cyclic_shift",
+    "loop_matrix",
     "loop_gain",
     "load_plant",
     "save_plant",
@@ -221,7 +224,7 @@ class ImpulseResponse:
     def l1_bound(self) -> float:
         """Upper bound on the total absolute sum of the response."""
         if self.kind == RATIONAL and self.poles.size:
-            n = self.horizon(1e-12)
+            n = self.horizon(DEFAULTS.tol)
             g = self.samples(n)
             return float(np.sum(np.abs(g))) + self.tail_bound(n)
         return self.tail_bound(0)
@@ -341,7 +344,7 @@ class PeriodicSummation:
     residual: float
 
 
-def periodic_summation(g: ImpulseResponse, period: int, tol: float = 1e-12) -> PeriodicSummation:
+def periodic_summation(g: ImpulseResponse, period: int, tol: float = DEFAULTS.tol) -> PeriodicSummation:
     """Fold a summable response into one period.
 
     Entry i (0-based) is sum_{k>=0} g(i + k*period), computed in closed
@@ -394,7 +397,7 @@ class MonotoneDecayVerdict:
         )
 
 
-def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = 1e-12) -> MonotoneDecayVerdict:
+def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFAULTS.tol) -> MonotoneDecayVerdict:
     """Verify that g is summable, one-piece, positive and strictly falling.
 
     The check runs over the window where the certified tail is below
@@ -458,7 +461,7 @@ def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = 1e-1
     )
 
 
-def is_convex_on_support(g: ImpulseResponse, tol: float = 1e-12) -> bool:
+def is_convex_on_support(g: ImpulseResponse, tol: float = DEFAULTS.tol) -> bool:
     """Second difference nonnegative at every interior point of the support.
 
     Only points whose both neighbours lie inside the support are tested,
@@ -489,18 +492,12 @@ def circulant(v) -> np.ndarray:
     return x[(idx[:, None] - idx[None, :]) % n]
 
 
-def circulant_apply(v, w, use_fft: bool = False) -> np.ndarray:
-    """Cyclic convolution of v and w, i.e. circulant(v) @ w.
-
-    Commutes in its arguments. The direct product is the reference path;
-    the FFT path exists for long periods and matches it to 1e-10.
-    """
+def circulant_apply(v, w) -> np.ndarray:
+    """Cyclic convolution of v and w, i.e. circulant(v) @ w; commutes in its arguments."""
     x = np.asarray(v, dtype=float)
     y = np.asarray(w, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("circulant_apply needs two equal-length vectors")
-    if use_fft:
-        return np.real(np.fft.ifft(np.fft.fft(x) * np.fft.fft(y)))
     return circulant(x) @ y
 
 
@@ -573,22 +570,23 @@ def save_plant(plant: PlantSpec, path) -> None:
         fh.write("\n")
 
 
-def loop_gain(plant: PlantSpec, pattern, tol: float = 1e-12) -> np.ndarray:
-    """One period of the loop response to a relay output pattern.
+def loop_matrix(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+    """The loop map at one period as a matrix K: a relay pattern s gives the waveform K @ s.
 
-    Folds the core response over the pattern length, applies the
-    circulant of the folded kernel to the pattern and rotates the result
-    down by the delay reduced modulo the period. Equivalently this is
-    minus the circulant of the delay-folded kernel applied to the
-    pattern; the two forms coincide because rotating a circulant's
-    generator rotates its output.
+    K = -circulant(roll(folded, delay mod period)), where ``folded`` is
+    the core response folded over the period once. Rotating a
+    circulant's generator by the delay rotates its output by the delay,
+    so K folds, delays and negates in one product.
     """
+    folded = periodic_summation(plant.g0, period, tol).values
+    return -circulant(cyclic_shift(folded, plant.delay % period))
+
+
+def loop_gain(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> np.ndarray:
+    """One period of the loop response to a relay output pattern: ``loop_matrix @ pattern``."""
     s = np.asarray(pattern, dtype=float)
     if s.ndim != 1 or s.size < 1:
         raise ValueError("pattern must be a nonempty vector")
     if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
         raise ValueError("pattern entries must lie in {-1, 0, +1}")
-    period = s.size
-    folded = periodic_summation(plant.g0, period, tol)
-    y = circulant_apply(folded.values, s)
-    return -cyclic_shift(y, plant.delay % period)
+    return loop_matrix(plant, s.size, tol) @ s

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .analyzer import canonical_rotation
+from .config import DEFAULTS
 from .lti import GEOMETRIC, SAMPLES, PlantSpec, loop_gain
 from .variation import (
     cyclic_diff,
@@ -85,7 +86,7 @@ def simulate(
     plant: PlantSpec,
     seed_history,
     steps: int,
-    divergence_factor: float = 1e3,
+    divergence_factor: float = DEFAULTS.divergence_factor,
 ) -> Trajectory:
     """Iterate the loop for ``steps`` samples from a relay-output seed.
 

@@ -172,12 +172,14 @@ def relay(x: float, dead_zone: float, tol: float = 0.0) -> int:
 
 
 def relay_vec(v, dead_zone: float, tol: float = 0.0) -> np.ndarray:
-    """Entrywise relay; returns an int8 vector over {-1, 0, +1}."""
+    """Entrywise relay over an array of any shape; int8 entries in {-1, 0, +1}."""
     if dead_zone < 0:
         raise ValueError("dead_zone must be nonnegative")
-    x = _as_vector(v)
+    x = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("vector entries must be finite")
     edge = dead_zone + tol
-    return np.where(x > edge, 1, np.where(x < -edge, -1, 0)).astype(np.int8)
+    return (x > edge).view(np.int8) - (x < -edge).view(np.int8)
 
 
 def sign_counts(v) -> tuple[int, int, int]:

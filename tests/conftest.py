@@ -113,6 +113,32 @@ def exact_geometric_fixed_point(ratio, delay: int, pattern, dead_zone=0) -> bool
     return True
 
 
+def reference_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
+    """Single-peaked patterns the literal way: every run shape, reduced by rotation.
+
+    Builds [+^a -^b], [+^a -^b 0], [+^a 0 -^b] and [+^a 0 -^b 0] for all
+    a, b >= 1, maps each to its lexicographically smallest rotation
+    (-1 < 0 < 1) by trying every shift, and deduplicates through a set.
+    """
+
+    def smallest_rotation(pattern):
+        return min(tuple(pattern[k:] + pattern[:k]) for k in range(len(pattern)))
+
+    found = set()
+    for zeros in range(3):
+        for a in range(1, period - zeros):
+            b = period - zeros - a
+            if b < 1:
+                continue
+            shapes = {
+                0: [[1] * a + [-1] * b],
+                1: [[1] * a + [-1] * b + [0], [1] * a + [0] + [-1] * b],
+                2: [[1] * a + [0] + [-1] * b + [0]],
+            }[zeros]
+            found.update(smallest_rotation(shape) for shape in shapes)
+    return sorted(found)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

@@ -21,6 +21,8 @@ from relayosc.analyzer import (
 from relayosc.lti import ImpulseResponse, PlantSpec
 from relayosc.variation import max_cyclic_sign_changes, sign_counts
 
+from conftest import reference_unimodal_patterns
+
 
 def geometric_plant(ratio, delay, dead_zone=0.0):
     return PlantSpec(ImpulseResponse.geometric(ratio), delay, dead_zone)
@@ -103,6 +105,12 @@ class TestPatternEnumeration:
                 # full rotation family is distinct: fundamental period is P
                 assert len({tuple(np.roll(pat, k)) for k in range(period)}) == period
 
+    def test_matches_reference_enumeration(self):
+        # canonical forms emitted directly equal the rotate-and-deduplicate
+        # definition, order included
+        for period in range(2, 41):
+            assert enumerate_unimodal_patterns(period) == reference_unimodal_patterns(period)
+
     def test_counts_follow_run_splits(self):
         for period in range(4, 12):
             expected = (period - 1) + 2 * (period - 2) + (period - 3)
@@ -175,6 +183,16 @@ class TestBaseOscillation:
             for delay in (1, 2, 3, 5):
                 for dz in (0.0, 0.3, 0.9):
                     exists_base_oscillation(geometric_plant(ratio, delay, dz))
+
+    def test_one_ulp_below_threshold(self):
+        # the scalar and the full verdict read the same loop response, so
+        # they agree one ulp inside the dead-zone edge; a scalar taken from
+        # a separately rounded product once disagreed here
+        base = geometric_plant(0.6185501653160004, 2)
+        dz = float(np.nextafter(dead_zone_threshold(base), 0.0))
+        plant = geometric_plant(0.6185501653160004, 2, dz)
+        assert exists_base_oscillation(plant)
+        assert verify_fixed_point(plant, [1, 1, -1, -1]) is not None
 
 
 class TestDeadZoneThreshold:

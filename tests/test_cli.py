@@ -1,18 +1,24 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import relayosc
 from relayosc import cli
 from relayosc.analyzer import report_from_dict, verify_fixed_point
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(relayosc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "relayosc.cli", "check-plant", "--geometric", "0.1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "monotone decay: PASS" in proc.stdout
@@ -159,6 +165,29 @@ class TestSweep:
         capsys.readouterr()
         assert open(serial).read() == open(parallel).read()
 
+    @pytest.mark.parametrize("source", [["--rational", "1/1,-0.5"], ["--samples", "0,1,0.5,0.25"]])
+    def test_response_delay_adds_to_loop_delay(self, source, tmp_path, capsys):
+        # the response's own pure delay counts, exactly as in analyze
+        out = str(tmp_path / "pts.csv")
+        assert cli.main(["sweep", *source, "--delay", "1", "--out", out]) == 0
+        assert cli.main(["analyze", *source, "--delay", "1"]) == 0
+        summary = capsys.readouterr().out
+        records = [line for line in summary.splitlines() if line.startswith("  P=")]
+        periods = sorted(int(line.split("P=")[1].split()[0]) for line in records)
+        assert periods
+        rows = open(out).read().strip().splitlines()
+        assert rows == ["Pd,P"] + [f"2,{p}" for p in periods]
+        bounds = open(out + ".bounds.csv").read().strip().splitlines()
+        assert bounds[1].startswith("2,4,")
+
+    @pytest.mark.parametrize("samples", ["1,0.5,0.7", "1,-2"])
+    def test_rejects_plant_that_fails_decay(self, samples, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert cli.main(["analyze", "--samples", samples, "--delay", "1"]) == 1
+        assert cli.main(["sweep", "--samples", samples, "--delay", "1", "--out", out]) == 1
+        assert "monotonically decaying" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSimulateVerb:
     def test_documented_seeds(self, plant_file, capsys):
@@ -245,6 +274,22 @@ class TestOracleVerb:
         assert rc == 0
         assert "6,-1 0 -1 1 0 1,0,0" in out  # outside the class, not in analyzer
         assert "6,-1 -1 -1 1 1 1,1,1" in out
+
+    def test_readme_example_verbatim(self, capsys):
+        rc = cli.main(
+            ["oracle", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "6"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "period,pattern,single_peaked,in_analyzer\n"
+            "2,-1 1,1,1\n"
+            "4,-1 1 -1 1,0,0\n"
+            "6,-1 -1 -1 1 1 1,1,1\n"
+            "6,-1 -1 0 1 1 0,1,1\n"
+            "6,-1 0 -1 1 0 1,0,0\n"
+            "6,-1 0 0 1 0 0,0,0\n"
+            "6,-1 1 -1 1 -1 1,0,0\n"
+        )
 
     def test_cap_refusal(self, capsys):
         rc = cli.main(["oracle", "--geometric", "0.1", "--delay", "1", "--pmax", "18"])

@@ -16,6 +16,7 @@ from relayosc.lti import (
     is_convex_on_support,
     load_plant,
     loop_gain,
+    loop_matrix,
     periodic_summation,
     relative_degree,
     save_plant,
@@ -242,14 +243,6 @@ class TestCirculant:
                 circulant_apply(v, w), circulant_apply(w, v), rtol=1e-12, atol=1e-12
             )
 
-    def test_fft_path_matches_direct(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 40))
-            v, w = rng.normal(size=n), rng.normal(size=n)
-            np.testing.assert_allclose(
-                circulant_apply(v, w, use_fft=True), circulant_apply(v, w), atol=1e-10
-            )
-
     def test_shift_algebra(self, rng):
         v = rng.normal(size=6)
         np.testing.assert_array_equal(cyclic_shift(v, 8), cyclic_shift(v, 2))
@@ -334,6 +327,18 @@ class TestLoopGain:
             gb = periodic_summation(g, period).values
             folded = -circulant_apply(cyclic_shift(gb, delay % period), s)
             np.testing.assert_allclose(loop_gain(plant, s), folded, rtol=1e-13, atol=1e-15)
+
+    def test_loop_matrix_entries_from_definition(self, rng):
+        # K[i, j] = -gbar((i - delay - j) mod P) with gbar folded term by term
+        g = ImpulseResponse.from_rational([1, 0], [1, -0.3])
+        for period, delay in ((2, 0), (5, 3), (7, 11)):
+            gbar = direct_periodic_summation(g.sample, period, terms=80)
+            i, j = np.indices((period, period))
+            expected = -gbar[(i - delay - j) % period]
+            K = loop_matrix(PlantSpec(g, delay), period)
+            np.testing.assert_allclose(K, expected, rtol=1e-13, atol=1e-15)
+            s = rng.integers(-1, 2, size=period).astype(float)
+            np.testing.assert_array_equal(loop_gain(PlantSpec(g, delay), s), K @ s)
 
     def test_bad_pattern_entries(self):
         plant = PlantSpec(ImpulseResponse.geometric(0.1), 1)
