@@ -49,6 +49,7 @@ __all__ = [
     "canonical_rotation",
     "enumerate_unimodal_patterns",
     "verify_fixed_point",
+    "period_records",
     "exists_base_oscillation",
     "dead_zone_threshold",
     "subharmonic_periods",
@@ -149,7 +150,7 @@ class AbsenceVerdict:
 
 @dataclass(frozen=True)
 class OracleEntry:
-    """An oracle-found fixed pattern family and whether the analyzer verifies it too."""
+    """An oracle-found fixed pattern family and whether the analyzer recorded it too."""
 
     period: int
     pattern: tuple[int, ...]
@@ -338,7 +339,10 @@ def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
     period = int(u.size)
     canon = canonical_rotation(pattern)
     # align the stored waveform with the canonical rotation
-    u = np.roll(u, next(k for k in range(period) if tuple(np.roll(pattern, k).astype(int)) == canon))
+    for k in range(period):
+        if tuple(int(x) for x in np.roll(pattern, k)) == canon:
+            u = np.roll(u, k)
+            break
     diff_var = cyclic_sign_changes(cyclic_diff(u))
     return OscillationRecord(
         period=period,
@@ -370,11 +374,22 @@ def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> 
     return _record_from(u, s)
 
 
-def base_pattern(delay: int) -> tuple[int, ...]:
-    """The half-and-half pattern of length twice the delay."""
-    if delay < 1:
-        raise ValueError("delay must be at least 1")
-    return tuple([1] * delay + [-1] * delay)
+def period_records(
+    plant: PlantSpec, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol
+) -> list[OscillationRecord]:
+    """The analyzer at one period: each candidate verified through one loop matrix."""
+    K = loop_matrix(plant, period, tol)
+    out = []
+    for pattern in enumerate_unimodal_patterns(period):
+        arr = np.asarray(pattern, dtype=float)
+        if prune_sign_symmetric:
+            pos, neg, zero = sign_counts(arr)
+            if zero == 0 and pos != neg:
+                continue
+        u = _fixed_waveform(K, arr, plant.dead_zone)
+        if u is not None:
+            out.append(_record_from(u, arr))
+    return out
 
 
 def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool:
@@ -388,7 +403,7 @@ def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool
     """
     if plant.delay < 1:
         raise ValueError("the base oscillation needs a positive delay")
-    s = np.asarray(base_pattern(plant.delay), dtype=float)
+    s = np.repeat([1.0, -1.0], plant.delay)  # the half-and-half pattern
     u = loop_matrix(plant, s.size, tol) @ s
     scalar = -float(u[plant.delay])
     exists = scalar > plant.dead_zone
@@ -410,7 +425,7 @@ def dead_zone_threshold(plant: PlantSpec, tol: float = DEFAULTS.tol) -> float:
     """
     if plant.delay < 1:
         raise ValueError("the threshold needs a positive delay")
-    s = np.asarray(base_pattern(plant.delay), dtype=float)
+    s = np.repeat([1.0, -1.0], plant.delay)  # the half-and-half pattern
     prod = -(loop_matrix(plant, s.size, tol) @ s)
     return float(np.sort(prod)[::-1][plant.delay - 1])
 
@@ -424,8 +439,11 @@ def subharmonic_periods(delay: int) -> list[int]:
     """
     if delay < 1:
         raise ValueError("delay must be at least 1")
-    # ascending odd divisors give descending periods
-    return [2 * delay // d for d in range(1, delay + 1, 2) if delay % d == 0]
+    periods = []
+    for d in range(1, delay + 1):
+        if delay % d == 0 and d % 2 == 1:
+            periods.append(2 * delay // d)
+    return sorted(periods, reverse=True)
 
 
 def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict:
@@ -483,23 +501,17 @@ def brute_force_fixed_points(
     return sorted(found)
 
 
-def oracle_families(plant: PlantSpec, K: np.ndarray, tol: float = DEFAULTS.tol) -> list[OracleEntry]:
-    """Every fixed pattern family the oracle finds at the period of K, sorted.
+def oracle_families(plant: PlantSpec, period: int, matched, tol: float = DEFAULTS.tol) -> list[OracleEntry]:
+    """Every fixed pattern family the oracle finds at one period, by canonical rotation.
 
-    Each family is reported by its canonical rotation. ``in_analyzer``
-    states whether the analyzer verifies that rotation through the same
-    loop matrix K; only single-peaked families are analyzer candidates.
-    The oracle itself runs uncapped: callers enforce their own cap.
+    ``in_analyzer`` states whether a family is among ``matched``, the
+    analyzer's record patterns at that period. Uncapped: callers cap it.
     """
-    period = K.shape[0]
     fixed = brute_force_fixed_points(plant, period, cap=period, tol=tol)
-    out = []
-    for canon in sorted({canonical_rotation(p) for p in fixed}):
-        arr = np.asarray(canon, dtype=float)
-        peaked = max_cyclic_sign_changes(arr) == 2
-        in_analyzer = peaked and _fixed_waveform(K, arr, plant.dead_zone) is not None
-        out.append(OracleEntry(period, canon, peaked, in_analyzer))
-    return out
+    return [
+        OracleEntry(period, canon, max_cyclic_sign_changes(np.asarray(canon, float)) == 2, canon in matched)
+        for canon in sorted({canonical_rotation(p) for p in fixed})
+    ]
 
 
 # -- orchestration ----------------------------------------------------------
@@ -558,37 +570,9 @@ def find_oscillations(
         pmax = default_pmax(plant, tol)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
-    effective_oracle = min(oracle_pmax, pmax)
     records: list[OscillationRecord] = []
-    oracle_entries: list[OracleEntry] = []
-    oracle_violations: list[str] = []
     for period in range(2, pmax + 1):
-        K = loop_matrix(plant, period, tol)
-        here = []
-        for pattern in enumerate_unimodal_patterns(period):
-            arr = np.asarray(pattern, dtype=float)
-            if prune_sign_symmetric:
-                pos, neg, zero = sign_counts(arr)
-                if zero == 0 and pos != neg:
-                    continue
-            u = _fixed_waveform(K, arr, plant.dead_zone)
-            if u is not None:
-                here.append(_record_from(u, arr))
-        records.extend(here)
-        if period > effective_oracle:
-            continue
-        families = oracle_families(plant, K, tol)
-        for entry in (e for e in families if not e.in_analyzer):
-            oracle_entries.append(entry)
-            if entry.pattern_unimodal:
-                oracle_violations.append(
-                    f"oracle found an unmatched single-peaked fixed pattern {entry.pattern} "
-                    f"at period {period}"
-                )
-        for canon in sorted({r.pattern for r in here} - {e.pattern for e in families}):
-            oracle_violations.append(
-                f"analyzer record {canon} at period {period} is missing from the oracle"
-            )
+        records.extend(period_records(plant, period, prune_sign_symmetric, tol))
     records.sort(key=lambda r: (r.period, r.pattern))
 
     bounds = period_bounds(plant, tol) if plant.delay >= 1 else None
@@ -604,7 +588,23 @@ def find_oscillations(
                     f"record period {rec.period} falls in the excluded window "
                     f"({bounds.delay}, {bounds.lower})"
                 )
-    violations.extend(oracle_violations)
+
+    oracle_entries: list[OracleEntry] = []
+    effective_oracle = min(oracle_pmax, pmax)
+    for period in range(2, effective_oracle + 1):
+        matched = {r.pattern for r in records if r.period == period}
+        families = oracle_families(plant, period, matched, tol)
+        for entry in (e for e in families if not e.in_analyzer):
+            oracle_entries.append(entry)
+            if entry.pattern_unimodal:
+                violations.append(
+                    f"oracle found an unmatched single-peaked fixed pattern {entry.pattern} "
+                    f"at period {period}"
+                )
+        for canon in sorted(matched - {e.pattern for e in families}):
+            violations.append(
+                f"analyzer record {canon} at period {period} is missing from the oracle"
+            )
 
     return OscillationReport(
         plant=plant,

@@ -25,7 +25,6 @@ from .lti import (
     UnstablePlantError,
     check_monotone_decay,
     is_convex_on_support,
-    loop_matrix,
 )
 
 __all__ = ["main"]
@@ -291,8 +290,8 @@ def cmd_oracle(args) -> int:
         )
     print("period,pattern,single_peaked,in_analyzer")
     for period in range(2, pmax + 1):
-        K = loop_matrix(plant, period, args.tol)
-        for entry in analyzer.oracle_families(plant, K, args.tol):
+        matched = {r.pattern for r in analyzer.period_records(plant, period, tol=args.tol)}
+        for entry in analyzer.oracle_families(plant, period, matched, args.tol):
             print(
                 f"{period},{' '.join(str(x) for x in entry.pattern)},"
                 f"{int(entry.pattern_unimodal)},{int(entry.in_analyzer)}"

@@ -176,6 +176,8 @@ def relay_vec(v, dead_zone: float, tol: float = 0.0) -> np.ndarray:
     if dead_zone < 0:
         raise ValueError("dead_zone must be nonnegative")
     x = np.asarray(v, dtype=float)
+    if x.ndim == 0 or x.size < 1:
+        raise ValueError(f"expected a nonempty array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
     edge = dead_zone + tol

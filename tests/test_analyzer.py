@@ -350,6 +350,41 @@ class TestFindOscillations:
         assert (6, (-1, 0, 0, 1, 0, 0)) in extras
         assert all(not e.pattern_unimodal for e in report.oracle_diff)
 
+    def test_oracle_flags_a_family_the_enumeration_misses(self, monkeypatch):
+        # the cross-check compares the oracle with the analyzer's records, so
+        # a fixed single-peaked family that is never enumerated is a violation
+        import relayosc.analyzer as analyzer_mod
+
+        missed = (-1, -1, 0, 1, 1, 0)
+        full = analyzer_mod.enumerate_unimodal_patterns
+        monkeypatch.setattr(
+            analyzer_mod, "enumerate_unimodal_patterns", lambda p: [c for c in full(p) if c != missed]
+        )
+        report = find_oscillations(geometric_plant(0.1, 3, 0.8), pmax=8, oracle_pmax=8)
+        assert missed not in {r.pattern for r in report.records}
+        entries = [e for e in report.oracle_diff if e.pattern == missed]
+        assert [(e.period, e.pattern_unimodal, e.in_analyzer) for e in entries] == [(6, True, False)]
+        assert report.violations == [
+            f"oracle found an unmatched single-peaked fixed pattern {missed} at period 6"
+        ]
+
+    def test_oracle_flags_a_fixed_family_the_pruning_skips(self, monkeypatch):
+        # pruning skips zero-free patterns whose sign counts differ; make it
+        # skip a fixed family and the oracle must report the gap
+        import relayosc.analyzer as analyzer_mod
+
+        fixed = (-1, -1, -1, 1, 1, 1)
+        counts = analyzer_mod.sign_counts
+        monkeypatch.setattr(
+            analyzer_mod,
+            "sign_counts",
+            lambda v: (3, 2, 0) if tuple(int(x) for x in v) == fixed else counts(v),
+        )
+        plant = geometric_plant(0.1, 3, 0.8)
+        report = find_oscillations(plant, pmax=8, prune_sign_symmetric=True, oracle_pmax=8)
+        assert any(e.pattern == fixed and not e.in_analyzer for e in report.oracle_diff)
+        assert f"oracle found an unmatched single-peaked fixed pattern {fixed} at period 6" in report.violations
+
     def test_records_sign_symmetric(self):
         for plant in (geometric_plant(0.1, 9), geometric_plant(0.9, 4), geometric_plant(0.1, 3, 0.8)):
             report = find_oscillations(plant, pmax=14)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import relayosc
-from relayosc import cli
+from relayosc import analyzer, cli
 from relayosc.analyzer import report_from_dict, verify_fixed_point
 
 
@@ -290,6 +290,22 @@ class TestOracleVerb:
             "6,-1 0 0 1 0 0,0,0\n"
             "6,-1 1 -1 1 -1 1,0,0\n"
         )
+
+    def test_in_analyzer_follows_the_analyzer_records(self, capsys, monkeypatch):
+        # a fixed single-peaked family the enumeration never emits is not
+        # "in the analyzer", even though the family itself is fixed
+        missed = (-1, -1, 0, 1, 1, 0)
+        full = analyzer.enumerate_unimodal_patterns
+        monkeypatch.setattr(
+            analyzer, "enumerate_unimodal_patterns", lambda p: [c for c in full(p) if c != missed]
+        )
+        rc = cli.main(
+            ["oracle", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "6"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "6,-1 -1 0 1 1 0,1,0\n" in out
+        assert "6,-1 -1 -1 1 1 1,1,1\n" in out
 
     def test_cap_refusal(self, capsys):
         rc = cli.main(["oracle", "--geometric", "0.1", "--delay", "1", "--pmax", "18"])

@@ -131,6 +131,17 @@ class TestRelay:
         with pytest.raises(ValueError):
             relay_vec([1.0], -0.1)
 
+    def test_relay_vec_needs_a_nonempty_array(self):
+        with pytest.raises(ValueError):
+            relay_vec([], 0.0)
+        with pytest.raises(ValueError):
+            relay_vec(0.5, 0.0)
+        with pytest.raises(ValueError):
+            relay_vec(np.zeros((0, 3)), 0.0)
+        with pytest.raises(ValueError):
+            relay_vec([1.0, np.nan], 0.0)
+        np.testing.assert_array_equal(relay_vec([[0.5, -0.5], [0.1, 0.0]], 0.2), [[1, -1], [0, 0]])
+
     def test_tolerance_widens_zone(self):
         assert relay(0.85, 0.8) == 1
         assert relay(0.85, 0.8, tol=0.1) == 0
