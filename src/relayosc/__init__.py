@@ -69,14 +69,11 @@ from .simulate import (
     classify,
     detect_period,
     simulate,
-    simulate_by_convolution,
 )
 from .variation import (
     cyclic_diff,
     cyclic_sign_changes,
     is_periodically_unimodal,
-    is_periodically_unimodal_direct,
-    is_periodically_unimodal_levelsets,
     is_sign_symmetric,
     max_cyclic_sign_changes,
     max_sign_changes,

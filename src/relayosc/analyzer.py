@@ -246,15 +246,20 @@ def dominance_index(g0: ImpulseResponse, tol: float = DEFAULTS.tol) -> int:
     That is, the first t with sum_{k<t} g0(k) - sum_{k>=t} g0(k) > 0,
     the tail evaluated through the certified bound. The gap must clear
     ``tol`` to count as positive; if it hovers inside the tolerance band
-    past the horizon the call fails rather than guess.
+    past the horizon, or the tail bound reaches zero first, the call
+    fails rather than guess.
     """
     t = 1
     acc = 0.0
     while True:
         acc += g0.sample(t - 1)
+        tail = g0.tail_bound(t)
         # certified lower enclosure of the gap: partial sum minus tail bound
-        if acc - g0.tail_bound(t) > tol:
+        if acc - tail > tol:
             return t
+        if tail == 0.0:
+            # nothing is left to add, so no later t can clear tol
+            raise TruncationError("partial sum never outweighs the tail: the tail bound is exhausted")
         t += 1
         if t > 1_000_000:
             raise TruncationError("partial-sum dominance undecidable within the horizon")

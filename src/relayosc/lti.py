@@ -57,6 +57,37 @@ STABILITY_MARGIN = 1e-9
 MAX_HORIZON = 2_000_000
 
 
+def _resume(g: np.ndarray, start: int, coeffs: list) -> None:
+    """Fill g[start:] with g(k) = -(den[1] g(k-1) + ... + den[order] g(k-order)).
+
+    ``coeffs`` is den[1:] as Python floats, and the recurrence resumes
+    from g[start - order : start]. Each sample is accumulated as
+    ``acc = 0.0; acc -= den[j] * g(k-j)`` for j = 1, ..., order, in that
+    order, on Python floats, so it is bitwise the value of the
+    from-scratch recurrence. Orders 1 and 2 are unrolled, because
+    per-sample Python overhead is the whole cost here.
+    """
+    order = len(coeffs)
+    window = g[start - order : start].tolist()
+    if order == 1:
+        (c1,), (g1,) = coeffs, window
+        for k in range(start, g.size):
+            g1 = g[k] = 0.0 - c1 * g1
+    elif order == 2:
+        c1, c2 = coeffs
+        g2, g1 = window
+        for k in range(start, g.size):
+            g2, g1 = g1, 0.0 - c1 * g1 - c2 * g2
+            g[k] = g1
+    else:
+        for k in range(start, g.size):
+            acc = 0.0
+            for j in range(order):
+                acc -= coeffs[j] * window[-1 - j]
+            g[k] = acc
+            window = window[1:] + [acc]
+
+
 class UnstablePlantError(ValueError):
     """Denominator has a pole on or outside the stability margin."""
 
@@ -104,7 +135,7 @@ class ImpulseResponse:
                 raise UnstablePlantError(
                     f"pole radii [{radii}] reach the unit circle; response is not absolutely summable"
                 )
-            self._cache = self._rational_head(max(64, 4 * self.den.size))
+            self._cache = self._rational_transient()
             self._tail_c: Optional[float] = None
         elif kind == SAMPLES:
             values = np.atleast_1d(np.asarray(params["values"], dtype=float))
@@ -141,20 +172,31 @@ class ImpulseResponse:
 
     # -- evaluation ----------------------------------------------------
 
-    def _rational_head(self, n: int) -> np.ndarray:
-        """First n samples of the rational response via its recurrence."""
-        b = self.num[::-1]  # b[i] multiplies z^i
-        a = self.den[::-1]
+    def _rational_transient(self) -> np.ndarray:
+        """g(0), ..., g(order): the samples the numerator enters."""
         order = self.den.size - 1
-        top = self.den.size - 1  # degree of the monic denominator
-        g = np.zeros(n)
-        for k in range(n):
-            idx = top - k
-            acc = b[idx] if 0 <= idx < b.size else 0.0
-            for j in range(1, min(k, order) + 1):
-                acc -= a[top - j] * g[k - j]
+        b = np.zeros(order + 1)
+        b[order + 1 - self.num.size :] = self.num
+        g = np.zeros(order + 1)
+        for k in range(order + 1):
+            acc = b[k]
+            for j in range(1, k + 1):
+                acc -= self.den[j] * g[k - j]
             g[k] = acc
         return g
+
+    def _extend(self, n: int) -> None:
+        """Grow the rational sample cache to exactly n samples.
+
+        The recurrence resumes from the last ``order`` cached samples, so
+        each sample is computed once however the requests grow. The new
+        array replaces the cache only once it is filled.
+        """
+        old = self._cache
+        grown = np.empty(n)
+        grown[: old.size] = old
+        _resume(grown, old.size, self.den[1:].tolist())
+        self._cache = grown
 
     def samples(self, n: int) -> np.ndarray:
         """The vector [g(0), ..., g(n-1)]."""
@@ -170,13 +212,17 @@ class ImpulseResponse:
             out[:m] = self.values[:m]
             return out
         if n > self._cache.size:
-            self._cache = self._rational_head(n)
+            self._extend(n)
         return self._cache[:n].copy()
 
     def sample(self, t: int) -> float:
         """g(t); zero for t < 0 (causality)."""
         if t < 0:
             return 0.0
+        if self.kind == SAMPLES:
+            return float(self.values[t]) if t < self.values.size else 0.0
+        if self.kind == RATIONAL and t < self._cache.size:
+            return float(self._cache[t])
         return float(self.samples(t + 1)[t])
 
     # -- certified tail ------------------------------------------------
@@ -199,7 +245,7 @@ class ImpulseResponse:
             ratio = np.abs(g) / rho_hat ** np.arange(n)
             c = float(ratio.max())
             # decayed ratio at the end certifies the max is global
-            if np.all(ratio[-16:] <= max(c, 1e-300) * 1e-9) or n >= MAX_HORIZON:
+            if np.all(ratio[-16:] <= max(c, 1e-300) * 1e-9):
                 break
             n *= 2
         self._rho_hat = rho_hat

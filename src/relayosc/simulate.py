@@ -39,7 +39,6 @@ __all__ = [
     "SimulationError",
     "Trajectory",
     "simulate",
-    "simulate_by_convolution",
     "detect_period",
     "ClassificationFlags",
     "classify",
@@ -185,39 +184,6 @@ def simulate(
                 f"absolute sum, so this indicates a defect"
             )
 
-    return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
-
-
-def simulate_by_convolution(
-    plant: PlantSpec,
-    seed_history,
-    steps: int,
-    tol: float = 1e-14,
-) -> Trajectory:
-    """Reference path: truncated direct convolution with a certified tail.
-
-    Exists to cross-check the recurrence path; the two agree to the
-    truncation tolerance on every overlap. Quadratic in the horizon, so
-    only used for validation.
-    """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    if plant.delay < 1 and plant.g0.kind != SAMPLES:
-        raise ValueError("the convolution reference needs a positive delay")
-    seed = _check_seed(seed_history)
-    lead = len(seed)
-    depth = plant.g0.horizon(tol) if plant.g0.kind != SAMPLES else plant.g0.values.size
-    taps = plant.g0.samples(depth)
-    r_all = np.zeros(lead + steps, dtype=np.int8)
-    r_all[:lead] = seed
-    u = np.zeros(steps)
-    for t in range(steps):
-        tau = t - plant.delay
-        acc = 0.0
-        for k in range(min(depth, tau + lead + 1)):
-            acc += taps[k] * r_all[tau - k + lead]
-        u[t] = -acc
-        r_all[t + lead] = relay(u[t], plant.dead_zone)
     return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
 
 

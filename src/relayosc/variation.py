@@ -27,8 +27,6 @@ __all__ = [
     "sign_counts",
     "is_sign_symmetric",
     "is_periodically_unimodal",
-    "is_periodically_unimodal_direct",
-    "is_periodically_unimodal_levelsets",
 ]
 
 
@@ -211,37 +209,3 @@ def is_periodically_unimodal(v) -> bool:
         raise ValueError("unimodality is undefined for the zero vector")
     return cyclic_sign_changes(cyclic_diff(x)) == 2
 
-
-def is_periodically_unimodal_direct(v) -> bool:
-    """Rotation-based unimodality check, used as an independent oracle.
-
-    True when some cyclic rotation of v is weakly increasing up to a
-    peak and weakly decreasing after it. Constant vectors satisfy this
-    (trivially monotone both ways) even though the variation-based test
-    excludes them, so the two agree exactly on non-constant input.
-    """
-    x = _as_vector(v)
-    n = x.size
-    for k in range(n):
-        d = np.diff(np.roll(x, -k))
-        rises = np.flatnonzero(d > 0)
-        falls = np.flatnonzero(d < 0)
-        if rises.size == 0 or falls.size == 0:
-            return True  # monotone within the window
-        if rises.max() < falls.min():
-            return True
-    return False
-
-
-def is_periodically_unimodal_levelsets(v) -> bool:
-    """Level-set unimodality check, used as an independent oracle.
-
-    True when the cyclic variation of v - gamma stays <= 2 for every
-    real gamma. The count is piecewise constant in gamma, so it is
-    enough to test gamma at each distinct entry and at midpoints of
-    consecutive distinct entries.
-    """
-    x = _as_vector(v)
-    levels = np.unique(x)
-    gammas = np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0])
-    return all(cyclic_sign_changes(x - g) <= 2 for g in gammas)

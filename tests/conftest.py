@@ -7,12 +7,16 @@ against themselves.
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from relayosc.variation import sign_changes
+from relayosc.lti import SAMPLES
+from relayosc.simulate import Trajectory
+from relayosc.variation import cyclic_sign_changes, relay, sign_changes
 
 
 def wrapped_rotation_count(v) -> int:
@@ -137,6 +141,102 @@ def reference_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
             }[zeros]
             found.update(smallest_rotation(shape) for shape in shapes)
     return sorted(found)
+
+
+def reference_rational_head(num, den, n: int) -> np.ndarray:
+    """First n samples of num(z)/den(z) (monic den) by its recurrence, from t = 0.
+
+    The library's rational sample cache resumes this recurrence where it
+    stopped; it must give these values bit for bit.
+    """
+    b = np.asarray(num, dtype=float)[::-1]  # b[i] multiplies z^i
+    a = np.asarray(den, dtype=float)[::-1]
+    order = a.size - 1
+    top = a.size - 1  # degree of the monic denominator
+    g = np.zeros(n)
+    for k in range(n):
+        idx = top - k
+        acc = b[idx] if 0 <= idx < b.size else 0.0
+        for j in range(1, min(k, order) + 1):
+            acc -= a[top - j] * g[k - j]
+        g[k] = acc
+    return g
+
+
+def is_periodically_unimodal_direct(v) -> bool:
+    """Rotation-based unimodality check, used as an independent oracle.
+
+    True when some cyclic rotation of v is weakly increasing up to a
+    peak and weakly decreasing after it. Constant vectors satisfy this
+    (trivially monotone both ways) even though the variation-based test
+    excludes them, so the two agree exactly on non-constant input.
+    """
+    x = np.asarray(v, dtype=float)
+    n = x.size
+    for k in range(n):
+        d = np.diff(np.roll(x, -k))
+        rises = np.flatnonzero(d > 0)
+        falls = np.flatnonzero(d < 0)
+        if rises.size == 0 or falls.size == 0:
+            return True  # monotone within the window
+        if rises.max() < falls.min():
+            return True
+    return False
+
+
+def is_periodically_unimodal_levelsets(v) -> bool:
+    """Level-set unimodality check, used as an independent oracle.
+
+    True when the cyclic variation of v - gamma stays <= 2 for every
+    real gamma. The count is piecewise constant in gamma, so it is
+    enough to test gamma at each distinct entry and at midpoints of
+    consecutive distinct entries.
+    """
+    x = np.asarray(v, dtype=float)
+    levels = np.unique(x)
+    gammas = np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0])
+    return all(cyclic_sign_changes(x - g) <= 2 for g in gammas)
+
+
+def simulate_by_convolution(plant, seed_history, steps: int, tol: float = 1e-14) -> Trajectory:
+    """The closed loop by truncated direct convolution with a certified tail.
+
+    Cross-checks the simulator's recurrence path; the two agree to the
+    truncation tolerance on every overlap. Quadratic in the horizon.
+    """
+    if plant.delay < 1 and plant.g0.kind != SAMPLES:
+        raise ValueError("the convolution reference needs a positive delay")
+    seed = [int(v) for v in seed_history]
+    lead = len(seed)
+    depth = plant.g0.horizon(tol) if plant.g0.kind != SAMPLES else plant.g0.values.size
+    taps = plant.g0.samples(depth)
+    r_all = np.zeros(lead + steps, dtype=np.int8)
+    r_all[:lead] = seed
+    u = np.zeros(steps)
+    for t in range(steps):
+        tau = t - plant.delay
+        acc = 0.0
+        for k in range(min(depth, tau + lead + 1)):
+            acc += taps[k] * r_all[tau - k + lead]
+        u[t] = -acc
+        r_all[t + lead] = relay(u[t], plant.dead_zone)
+    return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``, so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -33,14 +33,18 @@ from relayosc.variation import (
     cyclic_diff,
     cyclic_sign_changes,
     is_periodically_unimodal,
-    is_periodically_unimodal_direct,
-    is_periodically_unimodal_levelsets,
     max_cyclic_sign_changes,
     max_sign_changes,
     sign_changes,
 )
 
-from conftest import column_cyclic_changes, column_cyclic_diff, exact_geometric_fixed_point
+from conftest import (
+    column_cyclic_changes,
+    column_cyclic_diff,
+    exact_geometric_fixed_point,
+    is_periodically_unimodal_direct,
+    is_periodically_unimodal_levelsets,
+)
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:

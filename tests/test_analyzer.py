@@ -18,10 +18,10 @@ from relayosc.analyzer import (
     subharmonic_periods,
     verify_fixed_point,
 )
-from relayosc.lti import ImpulseResponse, PlantSpec
+from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError
 from relayosc.variation import max_cyclic_sign_changes, sign_counts
 
-from conftest import reference_unimodal_patterns
+from conftest import reference_unimodal_patterns, time_limit
 
 
 def geometric_plant(ratio, delay, dead_zone=0.0):
@@ -55,6 +55,15 @@ class TestDominanceIndex:
         for ratio in (0.05, 0.3, 0.5, 0.7, 0.8, 0.95):
             got = dominance_index(ImpulseResponse.geometric(ratio))
             assert got == direct_dominance_index(ratio)
+
+
+    @pytest.mark.parametrize("bound", [dominance_index, period_bounds, default_pmax])
+    def test_head_that_never_outweighs_its_tail_fails_fast(self, bound):
+        # 1, -2, then zeros: the tail bound is exhausted at t = 2 with the gap still negative
+        g = ImpulseResponse.from_samples([1.0, -2.0])
+        arg = g if bound is dominance_index else PlantSpec.from_response(g, 1)
+        with time_limit(1.0), pytest.raises(TruncationError):
+            bound(arg)
 
 
 class TestPeriodBounds:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayosc.lti import (
     ImpulseResponse,
@@ -22,7 +24,7 @@ from relayosc.lti import (
     save_plant,
 )
 
-from conftest import direct_periodic_summation
+from conftest import direct_periodic_summation, reference_rational_head
 
 
 def two_lags(k1=1.0, k2=0.5, p1=0.5, p2=0.2):
@@ -93,6 +95,57 @@ class TestImpulseResponse:
         ):
             h = ImpulseResponse.from_dict(g.to_dict())
             np.testing.assert_allclose(h.samples(20), g.samples(20), rtol=1e-14)
+
+
+    def test_sample_reads_the_finite_support(self):
+        g = ImpulseResponse.from_samples([1.0, -2.0, 0.5])
+        window = g.samples(6)
+        assert [g.sample(t) for t in range(-2, 6)] == [0.0, 0.0, *window]
+        assert g.sample(10**9) == 0.0
+
+    def test_envelope_past_the_cap_is_loud(self):
+        # the envelope scan would need about 4e7 samples to certify its constant
+        with pytest.raises(TruncationError):
+            ImpulseResponse.from_rational([1, 0], [1, -0.999999]).tail_bound(0)
+
+
+@st.composite
+def rational_responses(draw):
+    """A stable rational response of order 1-4 with any relative degree, or its delay-factored core."""
+    order = draw(st.integers(1, 4))
+    poles = draw(st.lists(st.floats(-0.95, 0.95), min_size=order, max_size=order))
+    degree = draw(st.integers(0, order))
+    coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    num = draw(st.lists(coeff, min_size=order + 1 - degree, max_size=order + 1 - degree))
+    if degree and draw(st.booleans()):
+        # the core's numerator carries ``degree`` appended zeros
+        num[0] = abs(num[0])
+        return factor_delay(ImpulseResponse.from_rational(num, np.poly(poles)))[1]
+    return ImpulseResponse.from_rational(num, np.poly(poles))
+
+
+requests = st.lists(
+    st.one_of(
+        st.tuples(st.just("samples"), st.integers(0, 2600)),
+        st.tuples(st.just("sample"), st.integers(-2, 2600)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestRationalSampleStream:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(rational_responses(), requests)
+    def test_bitwise_equal_to_the_from_scratch_recurrence(self, g, calls):
+        reference = reference_rational_head(g.num, g.den, 2601)
+        for kind, n in calls:
+            if kind == "samples":
+                got = g.samples(n)
+                assert np.array_equal(got.view(np.uint64), reference[:n].view(np.uint64))
+            else:
+                want = reference[n] if n >= 0 else 0.0
+                assert np.float64(g.sample(n)).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 class TestDelayFactoring:

@@ -9,8 +9,9 @@ from relayosc.simulate import (
     classify,
     detect_period,
     simulate,
-    simulate_by_convolution,
 )
+
+from conftest import simulate_by_convolution
 
 EXAMPLE_SEEDS = {
     18: [1] * 9 + [-1] * 9,

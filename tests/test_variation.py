@@ -5,8 +5,6 @@ from relayosc.variation import (
     cyclic_diff,
     cyclic_sign_changes,
     is_periodically_unimodal,
-    is_periodically_unimodal_direct,
-    is_periodically_unimodal_levelsets,
     is_sign_symmetric,
     max_cyclic_sign_changes,
     max_sign_changes,
@@ -19,6 +17,8 @@ from relayosc.variation import (
 from conftest import (
     brute_max_cyclic_sign_changes,
     brute_max_sign_changes,
+    is_periodically_unimodal_direct,
+    is_periodically_unimodal_levelsets,
     wrapped_rotation_count,
 )
 
