@@ -96,7 +96,6 @@ class TestImpulseResponse:
             h = ImpulseResponse.from_dict(g.to_dict())
             np.testing.assert_allclose(h.samples(20), g.samples(20), rtol=1e-14)
 
-
     def test_sample_reads_the_finite_support(self):
         g = ImpulseResponse.from_samples([1.0, -2.0, 0.5])
         window = g.samples(6)
