@@ -7,8 +7,6 @@ against themselves.
 
 from __future__ import annotations
 
-import contextlib
-import signal
 from fractions import Fraction
 
 import numpy as np
@@ -221,22 +219,6 @@ def simulate_by_convolution(plant, seed_history, steps: int, tol: float = 1e-14)
         u[t] = -acc
         r_all[t + lead] = relay(u[t], plant.dead_zone)
     return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
-
-
-@contextlib.contextmanager
-def time_limit(seconds: float):
-    """Raise TimeoutError in the block once it has run ``seconds``, so a hang fails instead of stalling."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

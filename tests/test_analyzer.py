@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -21,7 +23,23 @@ from relayosc.analyzer import (
 from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError
 from relayosc.variation import max_cyclic_sign_changes, sign_counts
 
-from conftest import reference_unimodal_patterns, time_limit
+from conftest import reference_unimodal_patterns
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``, so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def geometric_plant(ratio, delay, dead_zone=0.0):
