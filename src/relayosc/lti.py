@@ -64,16 +64,12 @@ def _resume(g: np.ndarray, start: int, coeffs: list) -> None:
     from g[start - order : start]. Each sample is accumulated as
     ``acc = 0.0; acc -= den[j] * g(k-j)`` for j = 1, ..., order, in that
     order, on Python floats, so it is bitwise the value of the
-    from-scratch recurrence. Orders 1 and 2 are unrolled, because
-    per-sample Python overhead is the whole cost here.
+    from-scratch recurrence. Order 2 is unrolled, because per-sample
+    Python overhead is the whole cost here.
     """
     order = len(coeffs)
     window = g[start - order : start].tolist()
-    if order == 1:
-        (c1,), (g1,) = coeffs, window
-        for k in range(start, g.size):
-            g1 = g[k] = 0.0 - c1 * g1
-    elif order == 2:
+    if order == 2:
         c1, c2 = coeffs
         g2, g1 = window
         for k in range(start, g.size):
