@@ -61,8 +61,8 @@ __all__ = [
     "report_from_dict",
 ]
 
-#: chunk size (patterns per block) for the vectorized oracle
-_ORACLE_CHUNK = 3**10
+#: low base-3 digits per oracle block (3**10 patterns per block)
+_ORACLE_CHUNK = 10
 
 
 class InternalCheckError(AssertionError):
@@ -475,6 +475,14 @@ def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict
 # -- exhaustive oracle -----------------------------------------------------
 
 
+def _digit_table(n: int) -> np.ndarray:
+    """Row c holds the base-3 digits of c, lowest first, each minus one: int8, shape (3^n, n)."""
+    table = np.empty((3**n, n), dtype=np.int8)
+    for j in range(n):
+        table[:, j] = np.tile(np.repeat(np.array([-1, 0, 1], dtype=np.int8), 3**j), 3 ** (n - 1 - j))
+    return table
+
+
 def brute_force_fixed_points(
     plant: PlantSpec,
     period: int,
@@ -488,21 +496,28 @@ def brute_force_fixed_points(
     analyzer. The all-zero pattern, a trivial fixed point of every loop,
     is excluded. Patterns are returned sorted; rotations of a family
     appear individually.
+
+    Pattern c has the base-3 digits of c, lowest first, minus one. One row
+    block holds the 3^10 low digit rows; only its high columns change. A
+    row is fixed when its relay image has its code (c minus the all-zero
+    code (3^P - 1) / 2); codes are exact in float64 (3^16 < 2^53).
     """
     if period < 1:
         raise ValueError("period must be positive")
     if period > cap:
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
     kernel = loop_matrix(plant, period, tol).T  # row s -> row u through s @ kernel
-    powers = 3 ** np.arange(period, dtype=np.int64)
-    total = 3**period
+    low = min(period, _ORACLE_CHUNK)
+    rows = np.empty((3**low, period))
+    rows[:, :low] = _digit_table(low)
+    powers = 3.0 ** np.arange(period)
+    codes = np.arange(3**low, dtype=float) - (3**period - 1) // 2
     found: list[tuple[int, ...]] = []
-    for start in range(0, total, _ORACLE_CHUNK):
-        codes = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
-        digits = ((codes[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
-        image = relay_vec(digits.astype(np.float64) @ kernel, plant.dead_zone)
-        hits = np.all(image == digits, axis=1) & np.any(digits != 0, axis=1)
-        found.extend(tuple(int(x) for x in row) for row in digits[hits])
+    for block, digits in enumerate(_digit_table(period - low)):
+        rows[:, low:] = digits
+        # one expression: no block's image or product outlives it, which keeps the peak low
+        hits = relay_vec(rows @ kernel, plant.dead_zone) @ powers == codes + block * 3**low
+        found.extend(tuple(int(x) for x in row) for row in rows[hits] if row.any())
     return sorted(found)
 
 

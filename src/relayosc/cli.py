@@ -178,7 +178,7 @@ def _sweep_cell(spec: dict, delay: int, dead_zone: float, pmax, prune: bool, tol
     the loop delay, which includes any pure delay of the response.
     """
     plant = PlantSpec.from_dict({**spec, "delay": delay, "dead_zone": dead_zone})
-    report = analyzer.find_oscillations(plant, pmax=pmax or None, prune_sign_symmetric=prune, tol=tol)
+    report = analyzer.find_oscillations(plant, pmax=pmax, prune_sign_symmetric=prune, tol=tol)
     points = sorted({(plant.delay, rec.period) for rec in report.records})
     bounds = report.bounds
     return {
@@ -351,6 +351,8 @@ def main(argv=None) -> int:
         _add_common(sub.add_parser(name))
     args = parser.parse_args(argv)
     try:
+        if args.pmax is not None and args.pmax < 2:  # as find_oscillations refuses it
+            raise ValueError("pmax must be at least 2")
         return handlers[args.command](args)
     except (ValueError, OSError, KeyError, UnstablePlantError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

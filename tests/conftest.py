@@ -12,9 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relayosc.lti import SAMPLES
+from relayosc.config import DEFAULTS
+from relayosc.lti import SAMPLES, loop_matrix
 from relayosc.simulate import Trajectory
-from relayosc.variation import cyclic_sign_changes, relay, sign_changes
+from relayosc.variation import cyclic_sign_changes, relay, relay_vec, sign_changes
 
 
 def wrapped_rotation_count(v) -> int:
@@ -138,6 +139,34 @@ def reference_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
                 2: [[1] * a + [0] + [-1] * b + [0]],
             }[zeros]
             found.update(smallest_rotation(shape) for shape in shapes)
+    return sorted(found)
+
+
+def reference_brute_force_fixed_points(
+    plant, period: int, cap: int = DEFAULTS.oracle_cap, tol: float = DEFAULTS.tol
+) -> list[tuple[int, ...]]:
+    """The exhaustive oracle by integer decoding: every code's digits by // and %.
+
+    Each chunk of 3^10 codes is decoded with P floor divisions and P
+    modulos per row, cast to float64, pushed through the loop matrix and
+    compared with its relay image as int8 rows. The library builds the
+    same rows without decoding; its products and hits must equal these.
+    """
+    chunk = 3**10
+    if period < 1:
+        raise ValueError("period must be positive")
+    if period > cap:
+        raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
+    kernel = loop_matrix(plant, period, tol).T  # row s -> row u through s @ kernel
+    powers = 3 ** np.arange(period, dtype=np.int64)
+    total = 3**period
+    found: list[tuple[int, ...]] = []
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = ((codes[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
+        image = relay_vec(digits.astype(np.float64) @ kernel, plant.dead_zone)
+        hits = np.all(image == digits, axis=1) & np.any(digits != 0, axis=1)
+        found.extend(tuple(int(x) for x in row) for row in digits[hits])
     return sorted(found)
 
 

@@ -11,6 +11,7 @@ import json
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def fast_grid_sweep(tmp_path_factory):
         ["sweep", "--geometric", "0.1", "--delay", "1:12", "--pmax", "26", "--out", out]
     )
     elapsed = time.perf_counter() - start
-    rows = open(out).read().strip().splitlines()
+    rows = Path(out).read_text().strip().splitlines()
     points = {tuple(map(int, line.split(","))) for line in rows[1:]}
     reports = [find_oscillations(geometric_plant(0.1, d), pmax=26) for d in range(1, 13)]
     return {"rc": rc, "elapsed": elapsed, "points": points, "reports": reports}

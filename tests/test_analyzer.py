@@ -5,7 +5,9 @@ import signal
 import numpy as np
 import pytest
 
+from relayosc import analyzer
 from relayosc.analyzer import (
+    _digit_table,
     brute_force_fixed_points,
     canonical_rotation,
     check_absence,
@@ -23,7 +25,11 @@ from relayosc.analyzer import (
 from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError
 from relayosc.variation import max_cyclic_sign_changes, sign_counts
 
-from conftest import reference_unimodal_patterns
+from conftest import (
+    exact_geometric_fixed_point,
+    reference_brute_force_fixed_points,
+    reference_unimodal_patterns,
+)
 
 
 @contextlib.contextmanager
@@ -349,6 +355,92 @@ class TestBruteForce:
         for period in (2, 3, 4, 6):
             for pat in brute_force_fixed_points(plant, period):
                 assert verify_fixed_point(plant, pat) is not None
+
+
+def criterion_6_plants():
+    """The 20 random plants of acceptance criterion 6, drawn the same way."""
+    rng = np.random.default_rng(20260809)
+    return [
+        geometric_plant(
+            float(rng.uniform(0.05, 0.95)), int(rng.integers(1, 6)), float(rng.uniform(0.0, 1.0))
+        )
+        for _ in range(20)
+    ]
+
+
+def twin_plants(ratio, delay):
+    """The geometric and the rational form of one plant."""
+    return [
+        PlantSpec(ImpulseResponse.geometric(ratio), delay),
+        PlantSpec.from_response(ImpulseResponse.from_rational([1.0, 0.0], [1.0, -ratio]), delay),
+    ]
+
+
+class TestOracleAgainstReference:
+    @pytest.mark.parametrize("index", range(20))
+    def test_criterion_6_plants_every_period(self, index):
+        plant = criterion_6_plants()[index]
+        for period in range(1, 13):
+            assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(
+                plant, period
+            ), period
+
+    @pytest.mark.parametrize("ratio, delay", [(0.6185501653160004, 2), (0.3, 1), (0.45, 4), (0.7, 2)])
+    def test_twins_at_the_dead_zone_edge(self, ratio, delay):
+        for twin in twin_plants(ratio, delay):
+            edge = dead_zone_threshold(twin)
+            for dz in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                plant = PlantSpec(twin.g0, twin.delay, float(dz))
+                for period in range(1, 11):
+                    assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(
+                        plant, period
+                    ), (twin.g0.kind, dz, period)
+
+    @pytest.mark.parametrize(
+        "plant, period, hit_blocks",
+        [
+            (PlantSpec(ImpulseResponse.from_samples([1.32, -0.4, -0.8, 1.39, 0.29, 1.19]), 5, 0.37), 13, 20),
+            (PlantSpec(ImpulseResponse.from_samples([1.32, -0.4, -0.8, 1.39, 0.29, 1.19]), 5, 0.37), 14, 0),
+            (geometric_plant(0.1, 7), 13, 0),
+            (geometric_plant(0.1, 7), 14, 16),
+        ],
+        ids=["samples-13", "samples-14", "geometric-13", "geometric-14"],
+    )
+    def test_several_high_digit_columns(self, plant, period, hit_blocks):
+        # hit_blocks: how many blocks of 3^10 rows hold a fixed pattern
+        found = brute_force_fixed_points(plant, period)
+        assert found == reference_brute_force_fixed_points(plant, period)
+        assert len({p[10:] for p in found}) == hit_blocks
+
+
+class TestOracleBlocks:
+    @pytest.mark.parametrize("n", range(8))
+    def test_digit_table_rows_are_base_3_codes(self, n):
+        table = _digit_table(n)
+        assert table.shape == (3**n, n)
+        for code, row in enumerate(table):
+            assert [int(x) for x in row] == [(code // 3**j) % 3 - 1 for j in range(n)]
+        assert len({tuple(row) for row in table.tolist()}) == 3**n
+
+    def test_fixed_patterns_in_later_blocks(self):
+        # the 12 rotations of the square wave carry their top two digits in
+        # blocks 0, 2, 6 and 8 of 3^10 rows; every hit is exactly fixed
+        ratio, delay, period = 0.1, 6, 12
+        square = [1] * 6 + [-1] * 6
+        rotations = {tuple(square[k:] + square[:k]) for k in range(period)}
+        blocks = {(p[10] + 1) + 3 * (p[11] + 1) for p in rotations}
+        assert blocks == {0, 2, 6, 8}
+        found = brute_force_fixed_points(geometric_plant(ratio, delay), period)
+        assert rotations <= set(found)
+        assert all(exact_geometric_fixed_point(ratio, delay, p) for p in found)
+
+    @pytest.mark.parametrize("period", [1, 10, 11])
+    def test_all_zero_pattern_excluded_once(self, period, monkeypatch):
+        # with an identity loop every pattern is its own relay image
+        monkeypatch.setattr(analyzer, "loop_matrix", lambda plant, p, tol: np.eye(p))
+        found = brute_force_fixed_points(geometric_plant(0.1, 1), period)
+        assert len(found) == len(set(found)) == 3**period - 1
+        assert (0,) * period not in found
 
 
 class TestFindOscillations:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +81,7 @@ class TestAnalyze:
         assert rc == 0
         for fragment in ("P= 18", "P=  6", "P=  2"):
             assert fragment in out
-        data = json.loads(open(out_path).read())
+        data = json.loads(Path(out_path).read_text())
         assert data["Pd"] == 9 and data["chi0"] == 0.0
         assert sorted({r["period"] for r in data["records"]}) == [2, 6, 18]
         assert data["violations"] == []
@@ -124,8 +125,8 @@ class TestSweep:
         assert cli.main(argv + ["--out", out_a]) == 0
         assert cli.main(argv + ["--out", out_b]) == 0
         capsys.readouterr()
-        assert open(out_a).read() == open(out_b).read()
-        rows = open(out_a).read().strip().splitlines()
+        assert Path(out_a).read_text() == Path(out_b).read_text()
+        rows = Path(out_a).read_text().strip().splitlines()
         assert rows[0] == "Pd,P"
         assert "1,2" in rows and "3,6" in rows and "3,2" in rows
         assert (tmp_path / "a.csv.bounds.csv").exists()
@@ -163,7 +164,7 @@ class TestSweep:
         assert cli.main(argv + ["--out", serial]) == 0
         assert cli.main(argv + ["--out", parallel, "--workers", "2"]) == 0
         capsys.readouterr()
-        assert open(serial).read() == open(parallel).read()
+        assert Path(serial).read_text() == Path(parallel).read_text()
 
     @pytest.mark.parametrize("source", [["--rational", "1/1,-0.5"], ["--samples", "0,1,0.5,0.25"]])
     def test_response_delay_adds_to_loop_delay(self, source, tmp_path, capsys):
@@ -175,9 +176,9 @@ class TestSweep:
         records = [line for line in summary.splitlines() if line.startswith("  P=")]
         periods = sorted(int(line.split("P=")[1].split()[0]) for line in records)
         assert periods
-        rows = open(out).read().strip().splitlines()
+        rows = Path(out).read_text().strip().splitlines()
         assert rows == ["Pd,P"] + [f"2,{p}" for p in periods]
-        bounds = open(out + ".bounds.csv").read().strip().splitlines()
+        bounds = Path(out + ".bounds.csv").read_text().strip().splitlines()
         assert bounds[1].startswith("2,4,")
 
     @pytest.mark.parametrize("samples", ["1,0.5,0.7", "1,-2"])
@@ -247,6 +248,26 @@ class TestSimulateVerb:
 
     def test_needs_seeds(self, capsys):
         assert cli.main(["simulate", "--geometric", "0.1", "--delay", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "0"],
+        ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "1"],
+        ["sweep", "--geometric", "0.1", "--delay", "1:3", "--pmax", "0", "--out", "pts.csv"],
+        ["oracle", "--geometric", "0.1", "--delay", "3", "--pmax", "1"],
+        ["oracle", "--geometric", "0.1", "--delay", "3", "--pmax", "-4"],
+    ],
+    ids=["analyze-0", "analyze-1", "sweep-0", "oracle-1", "oracle-minus-4"],
+)
+def test_pmax_below_two_is_refused(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: pmax must be at least 2\n"
+    assert not any(tmp_path.iterdir())
 
 
 class TestOracleVerb:
