@@ -5,11 +5,11 @@ whose relay image, pushed through the delayed plant and negated,
 reproduces u. Because the relay output determines the waveform, the
 search space is finite: candidate sign patterns over one period. The
 analyzer enumerates the single-peaked candidates (one positive run, one
-negative run, optionally separated by single zeros), verifies each as a fixed
-point, and annotates the findings against the provable period bounds.
-An exhaustive oracle over all 3^P patterns provides the independent
-cross-check and also surfaces oscillations outside the single-peaked
-class.
+negative run, optionally separated by single zeros), screens each in O(1),
+verifies every survivor as a fixed point, and annotates the findings
+against the provable period bounds. An exhaustive oracle over all 3^P
+patterns provides the independent cross-check and also surfaces
+oscillations outside the single-peaked class.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .lti import (
     PlantSpec,
     TruncationError,
     check_monotone_decay,
+    circulant,
     is_convex_on_support,
+    loop_generator,
     loop_matrix,
 )
 from .variation import (
@@ -318,15 +320,15 @@ def enumerate_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
     """
     if period < 2:
         raise ValueError("patterns need at least two entries")
-    out = []
-    # sorted order: longer negative runs first, a zero before a positive sample
-    for b in range(period - 1, 0, -1):
-        for z1 in ((0,), ()):
-            for z2 in ((0,), ()):
-                a = period - b - len(z1) - len(z2)
-                if a >= 1:
-                    out.append((-1,) * b + z1 + (1,) * a + z2)
-    return out
+    return [(-1,) * b + (0,) * z1 + (1,) * a + (0,) * z2 for b, z1, a, z2 in _run_shapes(period).tolist()]
+
+
+def _run_shapes(period: int) -> np.ndarray:
+    """Rows (b, z1, a, z2) of [-^b 0^z1 +^a 0^z2], sorted: longer negative runs, then zeros, first."""
+    b = np.repeat(np.arange(period - 1, 0, -1), 4)
+    z1, z2 = np.tile([[1, 1, 0, 0], [1, 0, 1, 0]], period - 1)
+    rows = np.stack([b, z1, period - b - z1 - z2, z2], axis=1)
+    return rows[rows[:, 2] >= 1]
 
 
 # -- fixed-point verification ----------------------------------------------
@@ -379,14 +381,44 @@ def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> 
     return _record_from(u, s)
 
 
+def _screen(c: np.ndarray, rows: np.ndarray, dead_zone: float):
+    """Screen each row at six slots in O(1): returns (slots, entries u_hat, tau, survivor mask).
+
+    Row (b, z1, a, z2) is s = [-^b 0^z1 +^a 0^z2]. Entry u_i of -(c conv s) is the sum of
+    c[(i - j) mod P] over j < b minus that over the positive run, each a difference of prefix sums
+    of (c, c), at both ends of each run and at the zeros (else a positive end). A row is rejected when a slot
+    misses its relay level by more than tau. With u = 2^-53, sigma = sum |c| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1, 4.2): K @ s sums P exact terms in any order,
+    off by gamma_{P-1} sigma; four prefix sums of <= 2P terms by 8 gamma_{2P-1} sigma; the three
+    subtractions over disjoint runs by 2 u sigma. tau = 18 P u sigma > (17P - 7) u sigma covers the
+    second order and its own rounding. Rounding is monotone and -tau a float: a rounded margin
+    below -tau is a true one. If 8 sigma overflows or c is not finite, nothing is rejected.
+    """
+    period = c.size
+    b, z1, a, z2 = (rows[:, k : k + 1] for k in range(4))
+    slots = np.hstack([0 * b, b - 1, b + z1, period - 1 - z2, b, 0 * b + period - 1])
+    levels = np.hstack([0 * b - 1, 0 * b - 1, 0 * b + 1, 0 * b + 1, 1 - z1, 1 - z2])
+    sigma = float(np.abs(c).sum())
+    tau = 18 * period * 2.0**-53 * sigma if np.isfinite(8 * sigma) else np.inf
+    with np.errstate(all="ignore"):  # non-finite entries leave tau inf or nan and reject nothing
+        prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((c, c)))))
+        neg, pos = (slots - b + 1) % period, (slots + z2 + 1) % period
+        u = prefix[neg + b] - prefix[neg] - (prefix[pos + a] - prefix[pos])
+        margin = np.where(levels == 0, dead_zone - np.abs(u), levels * u - dead_zone)
+    return slots, u, tau, ~np.any(margin < -tau, axis=1)
+
+
 def period_records(
     plant: PlantSpec, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol
 ) -> list[OscillationRecord]:
-    """The analyzer at one period: each candidate verified through one loop matrix."""
-    K = loop_matrix(plant, period, tol)
+    """The analyzer at one period: screen every candidate, verify the survivors through ``K @ s``."""
+    c = loop_generator(plant, period, tol)
+    rows = _run_shapes(period)
+    survivors = rows[_screen(c, rows, plant.dead_zone)[3]]
+    K = -circulant(c) if len(survivors) else None  # built only for a period with survivors
     out = []
-    for pattern in enumerate_unimodal_patterns(period):
-        arr = np.asarray(pattern, dtype=float)
+    for row in survivors:
+        arr = np.repeat([-1.0, 0.0, 1.0, 0.0], row)
         if prune_sign_symmetric:
             pos, neg, zero = sign_counts(arr)
             if zero == 0 and pos != neg:

@@ -283,6 +283,8 @@ def _tagged_path(out: str, tag: str) -> str:
 def cmd_oracle(args) -> int:
     plant = _build_plant(args)
     pmax = args.pmax or min(10, args.oracle_cap)
+    if pmax < 2:  # a cap below 2 leaves no period to search
+        raise ValueError("pmax must be at least 2")
     if pmax > args.oracle_cap:
         raise ValueError(
             f"refusing the exhaustive search: pmax {pmax} exceeds the oracle cap "

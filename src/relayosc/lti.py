@@ -40,6 +40,7 @@ __all__ = [
     "circulant",
     "circulant_apply",
     "cyclic_shift",
+    "loop_generator",
     "loop_matrix",
     "loop_gain",
     "load_plant",
@@ -612,16 +613,15 @@ def save_plant(plant: PlantSpec, path) -> None:
         fh.write("\n")
 
 
-def loop_matrix(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
-    """The loop map at one period as a matrix K: a relay pattern s gives the waveform K @ s.
-
-    K = -circulant(roll(folded, delay mod period)), where ``folded`` is
-    the core response folded over the period once. Rotating a
-    circulant's generator by the delay rotates its output by the delay,
-    so K folds, delays and negates in one product.
-    """
+def loop_generator(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+    """The generator c = roll(folded, delay mod period): relay pattern s gives -circulant(c) @ s."""
     folded = periodic_summation(plant.g0, period, tol).values
-    return -circulant(cyclic_shift(folded, plant.delay % period))
+    return cyclic_shift(folded, plant.delay % period)
+
+
+def loop_matrix(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+    """The loop map at one period as a matrix K = -circulant(:func:`loop_generator`): s gives K @ s."""
+    return -circulant(loop_generator(plant, period, tol))
 
 
 def loop_gain(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> np.ndarray:

@@ -12,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from relayosc.analyzer import _fixed_waveform, _record_from, enumerate_unimodal_patterns
 from relayosc.config import DEFAULTS
 from relayosc.lti import SAMPLES, loop_matrix
 from relayosc.simulate import Trajectory
-from relayosc.variation import cyclic_sign_changes, relay, relay_vec, sign_changes
+from relayosc.variation import cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
 
 
 def wrapped_rotation_count(v) -> int:
@@ -140,6 +141,27 @@ def reference_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
             }[zeros]
             found.update(smallest_rotation(shape) for shape in shapes)
     return sorted(found)
+
+
+def reference_period_records(plant, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol):
+    """The analyzer at one period, candidate by candidate: every pattern through ``K @ s``.
+
+    The library screens the candidates through prefix sums and verifies
+    only the survivors; its records, waveform bits included, must equal
+    these.
+    """
+    K = loop_matrix(plant, period, tol)
+    out = []
+    for pattern in enumerate_unimodal_patterns(period):
+        arr = np.asarray(pattern, dtype=float)
+        if prune_sign_symmetric:
+            pos, neg, zero = sign_counts(arr)
+            if zero == 0 and pos != neg:
+                continue
+        u = _fixed_waveform(K, arr, plant.dead_zone)
+        if u is not None:
+            out.append(_record_from(u, arr))
+    return out
 
 
 def reference_brute_force_fixed_points(

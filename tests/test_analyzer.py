@@ -8,6 +8,9 @@ import pytest
 from relayosc import analyzer
 from relayosc.analyzer import (
     _digit_table,
+    _fixed_waveform,
+    _run_shapes,
+    _screen,
     brute_force_fixed_points,
     canonical_rotation,
     check_absence,
@@ -18,16 +21,18 @@ from relayosc.analyzer import (
     exists_base_oscillation,
     find_oscillations,
     period_bounds,
+    period_records,
     report_from_dict,
     subharmonic_periods,
     verify_fixed_point,
 )
-from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError
+from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_generator, loop_matrix
 from relayosc.variation import max_cyclic_sign_changes, sign_counts
 
 from conftest import (
     exact_geometric_fixed_point,
     reference_brute_force_fixed_points,
+    reference_period_records,
     reference_unimodal_patterns,
 )
 
@@ -413,6 +418,126 @@ class TestOracleAgainstReference:
         assert len({p[10:] for p in found}) == hit_blocks
 
 
+def record_keys(records):
+    """Every field of each record, the waveform as its bytes, in order."""
+    return [
+        (r.period, r.pattern, r.unimodal, r.pattern_unimodal, r.sign_symmetric, r.is_self_oscillation,
+         np.asarray(r.waveform).tobytes())
+        for r in records
+    ]
+
+
+def assert_records_match_reference(plant, periods):
+    found = 0
+    for period in periods:
+        for prune in (False, True):
+            got = period_records(plant, period, prune)
+            assert record_keys(got) == record_keys(reference_period_records(plant, period, prune)), (
+                period, prune
+            )
+            found += len(got)
+    return found
+
+
+def shape_patterns(rows, period):
+    """The pattern matrix of rows (b, z1, a, z2): one candidate per row."""
+    b, z1, a, _ = (rows[:, k : k + 1] for k in range(4))
+    j = np.arange(period)
+    return np.where(j < b, -1.0, np.where((j >= b + z1) & (j < b + z1 + a), 1.0, 0.0))
+
+
+class TestScreenThenVerify:
+    @pytest.mark.parametrize("index", range(20))
+    def test_criterion_6_plants_match_the_reference(self, index):
+        assert_records_match_reference(criterion_6_plants()[index], range(2, 41))
+
+    @pytest.mark.parametrize("ratio, delay", [(0.6185501653160004, 2), (0.3, 1), (0.45, 4), (0.7, 2), (0.1, 9)])
+    def test_twins_at_the_dead_zone_edge_match_the_reference(self, ratio, delay):
+        found = 0
+        for twin in twin_plants(ratio, delay):
+            edge = dead_zone_threshold(twin)
+            for dz in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                plant = PlantSpec(twin.g0, twin.delay, float(dz))
+                found += assert_records_match_reference(plant, range(2, 4 * delay + 12))
+        assert found > 0
+
+    def test_finite_response_matches_the_reference(self):
+        taps = ImpulseResponse.from_samples([1.32, -0.4, -0.8, 1.39, 0.29, 1.19])
+        found = sum(
+            assert_records_match_reference(PlantSpec(taps, delay, dz), range(2, 41))
+            for delay, dz in ((5, 0.37), (2, 0.0), (3, 1.0))
+        )
+        assert found > 0
+
+    def test_shapes_are_the_enumeration(self):
+        for period in (2, 3, 7):
+            rows = _run_shapes(period)
+            assert [tuple(int(x) for x in s) for s in shape_patterns(rows, period)] == (
+                enumerate_unimodal_patterns(period)
+            )
+
+    def test_tolerance_covers_every_screened_entry(self):
+        # the rows of K at the screened slots times s, summed in einsum's order
+        # rather than BLAS's; the bound holds for any summation order
+        rng = np.random.default_rng(6)
+        plants = twin_plants(0.995, 2) + twin_plants(0.995, 7)
+        for _ in range(6):
+            plants += twin_plants(float(rng.uniform(0.02, 0.99)), int(rng.integers(1, 10)))
+        worst = 0.0
+        for plant in plants:
+            for period in range(2, 121):
+                c = loop_generator(plant, period)
+                rows = _run_shapes(period)
+                slots, u_hat, tau, _ = _screen(c, rows, plant.dead_zone)
+                exact = np.einsum("nkj,nj->nk", loop_matrix(plant, period)[slots], shape_patterns(rows, period))
+                err = np.max(np.abs(u_hat - exact))
+                assert err <= tau, (plant.g0.kind, plant.delay, period)
+                worst = max(worst, err)
+        assert worst > 0.0  # the screen's rounding is real, so the check is not vacuous
+
+    def test_every_rejected_candidate_fails_verification(self):
+        rejected = 0
+        for ratio in (0.1, 0.6, 0.95):
+            for twin in twin_plants(ratio, 3) + twin_plants(ratio, 5):
+                edge = dead_zone_threshold(twin)
+                for dz in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    dz = float(dz)
+                    for period in range(2, 25):
+                        rows = _run_shapes(period)
+                        kept = _screen(loop_generator(twin, period), rows, dz)[3]
+                        K = loop_matrix(twin, period)
+                        for row in rows[~kept]:
+                            rejected += 1
+                            assert _fixed_waveform(K, np.repeat([-1.0, 0.0, 1.0, 0.0], row), dz) is None
+        assert rejected > 0
+
+    @pytest.mark.parametrize("samples", [[1.0, np.nan], [1.0, np.inf], [1e307, -1e307, 1e307]])
+    def test_non_finite_or_overflowing_responses_reject_nothing(self, samples):
+        # nothing may be screened out, so verification meets the bad entries as before
+        plant = PlantSpec(ImpulseResponse.from_samples(samples), 2)
+        for period in range(2, 7):
+            assert _screen(loop_generator(plant, period), _run_shapes(period), 0.0)[3].all()
+            outcomes = []
+            for analyze in (period_records, reference_period_records):
+                try:
+                    outcomes.append(record_keys(analyze(plant, period)))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], period
+
+    def test_survivor_count_at_pmax_200(self):
+        # 78 805 candidates; the screen passes exactly the 3 fixed families on
+        # to K @ s, so it cannot quietly fall back to verifying everything
+        plant = geometric_plant(0.1, 9)
+        candidates = survivors = 0
+        for period in range(2, 201):
+            rows = _run_shapes(period)
+            candidates += len(rows)
+            survivors += int(np.sum(_screen(loop_generator(plant, period), rows, 0.0)[3]))
+        assert (candidates, survivors) == (78805, 3)
+        assert len(find_oscillations(plant, pmax=200).records) == 3
+
+
 class TestOracleBlocks:
     @pytest.mark.parametrize("n", range(8))
     def test_digit_table_rows_are_base_3_codes(self, n):
@@ -475,9 +600,9 @@ class TestFindOscillations:
         import relayosc.analyzer as analyzer_mod
 
         missed = (-1, -1, 0, 1, 1, 0)
-        full = analyzer_mod.enumerate_unimodal_patterns
+        full = analyzer_mod._run_shapes  # the row (2, 1, 2, 1) is the family missed
         monkeypatch.setattr(
-            analyzer_mod, "enumerate_unimodal_patterns", lambda p: [c for c in full(p) if c != missed]
+            analyzer_mod, "_run_shapes", lambda p: full(p)[~np.all(full(p) == (2, 1, 2, 1), axis=1)]
         )
         report = find_oscillations(geometric_plant(0.1, 3, 0.8), pmax=8, oracle_pmax=8)
         assert missed not in {r.pattern for r in report.records}

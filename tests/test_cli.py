@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relayosc
@@ -316,9 +317,9 @@ class TestOracleVerb:
         # a fixed single-peaked family the enumeration never emits is not
         # "in the analyzer", even though the family itself is fixed
         missed = (-1, -1, 0, 1, 1, 0)
-        full = analyzer.enumerate_unimodal_patterns
+        full = analyzer._run_shapes  # the row (2, 1, 2, 1) is the family missed
         monkeypatch.setattr(
-            analyzer, "enumerate_unimodal_patterns", lambda p: [c for c in full(p) if c != missed]
+            analyzer, "_run_shapes", lambda p: full(p)[~np.all(full(p) == (2, 1, 2, 1), axis=1)]
         )
         rc = cli.main(
             ["oracle", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "6"]
@@ -332,3 +333,12 @@ class TestOracleVerb:
         rc = cli.main(["oracle", "--geometric", "0.1", "--delay", "1", "--pmax", "18"])
         assert rc == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_cap_below_two_without_pmax_is_refused(self, cap, capsys):
+        # the default ceiling is min(10, cap): nothing to search, so no silent empty run
+        rc = cli.main(["oracle", "--geometric", "0.1", "--delay", "3", "--oracle-cap", cap])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == "error: pmax must be at least 2\n"
