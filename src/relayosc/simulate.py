@@ -14,10 +14,17 @@ With zero delay the loop is algebraic: the relay output at t feeds the
 waveform at t instantaneously. At most one relay value is consistent
 (the instantaneous gain is positive), and when none is the loop has no
 solution at that step and the simulation aborts with a diagnostic.
+
+The step map is deterministic and its state is finite: the relay values
+it will still read and, for recurrences, the last outputs. Once the
+state repeats, every later sample repeats with it, bit for bit, so the
+simulator stops stepping there and copies the cycle out to the horizon.
+A run costs its transient plus one cycle, capped by the horizon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,12 +100,28 @@ def simulate(
     earlier history is zero. The waveform magnitude can never exceed the
     response's absolute sum, so crossing ``divergence_factor`` times
     that bound aborts with :class:`SimulationError` (it would mean a
-    defect, not dynamics).
+    defect, not dynamics). A response whose absolute sum is not finite
+    is refused with ``ValueError`` before the first step.
+
+    From the first step whose reads all fall inside the relay history
+    (no pre-seed zeros, and for recurrences no seeded output), the loop
+    state is the bytes of the relay window still to be read plus, for
+    recurrences, the last ``order`` outputs. It is compared with one
+    checkpoint, re-saved at power-of-two offsets (Brent's cycle
+    finding), so memory stays O(state). When it matches, the samples
+    from the checkpoint on repeat exactly, and the rest of the horizon
+    is copied from them. Bytes are compared, so -0.0 and 0.0 never
+    count as one state. A repeated state has already been stepped once,
+    so no chatter or divergence error is lost by stopping. The result
+    is bitwise identical to stepping every sample.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
     seed = _check_seed(seed_history)
-    cap = divergence_factor * plant.g0.l1_bound()
+    l1 = plant.g0.l1_bound()
+    if not math.isfinite(l1):
+        raise ValueError(f"the response's absolute sum is {l1}; only finite responses can be simulated")
+    cap = divergence_factor * l1
     delay = plant.delay
     dz = plant.dead_zone
 
@@ -117,6 +140,11 @@ def simulate(
                 acc += taps[k] * r_all[tau - k + lead]
             return acc
 
+        width = taps.size
+        # first step whose window is all relay history: t - delay >= width - 1 - lead
+        start = max(0, delay + width - 1 - lead)
+        y_all = np.zeros(0)
+        y_lo = y_hi = 0
     else:
         b, a = _num_den_taps(plant)
         order = a.size - 1
@@ -142,9 +170,27 @@ def simulate(
                 acc -= a[j] * y_all[tau - j + back]
             return acc
 
+        width = b.size
+        # the recurrence runs from tau = 0, and its b taps then read relay history only
+        start = delay + max(0, width - 1 - lead)
+        # outputs y(tau - order) .. y(tau - 1) sit at y_all[t + y_lo : t + y_hi]
+        y_lo, y_hi = back - delay - order, back - delay
+    # relay values r(tau - width + 1) .. r(t - 1) sit at r_all[t + r_lo : t + lead]
+    r_lo = lead - delay - width + 1
+
     g00 = plant.g0.sample(0)
     u = np.zeros(steps)
+    saved, saved_at = None, start
     for t in range(steps):
+        if t >= start:
+            state = r_all[t + r_lo : t + lead].tobytes() + y_all[t + y_lo : t + y_hi].tobytes()
+            if state == saved:
+                rest = steps - t
+                u[t:] = np.resize(u[saved_at:t], rest)
+                r_all[t + lead :] = np.resize(r_all[saved_at + lead : t + lead], rest)
+                break
+            if ((t - start + 1) & (t - start)) == 0:  # offsets 0, 1, 3, 7, ... from start
+                saved, saved_at = state, t
         tau = t - delay
         if delay >= 1:
             if use_fir:
@@ -208,14 +254,15 @@ def detect_period(traj: Trajectory, tol: float = 1e-9, window: int = 4) -> Optio
         us = u[total - span :]
         if not np.array_equal(rs[period:], rs[:-period]):
             continue
-        if np.max(np.abs(us[period:] - us[:-period])) > tol:
+        gap = np.max(np.abs(us[period:] - us[:-period]))
+        if not gap <= tol:  # a NaN gap fails too
             continue
-        tail = [int(x) for x in r[total - period :]]
-        canon = canonical_rotation(tail)
-        phase = next(
-            k for k in range(period) if tuple(int(x) for x in np.roll(tail, k)) == canon
-        )
-        return period, phase
+        tail = r[total - period :].astype(np.int8)
+        canon = np.array(canonical_rotation(tail), dtype=np.int8).tobytes()
+        # np.roll(tail, k) is doubled[period - k : 2 * period - k]; the last
+        # match in the doubled tail gives the smallest k
+        doubled = np.concatenate([tail, tail]).tobytes()
+        return period, period - doubled.rfind(canon)
     return None
 
 

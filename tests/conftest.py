@@ -7,6 +7,8 @@ against themselves.
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +16,8 @@ import pytest
 
 from relayosc.analyzer import _fixed_waveform, _record_from, enumerate_unimodal_patterns
 from relayosc.config import DEFAULTS
-from relayosc.lti import SAMPLES, loop_matrix
-from relayosc.simulate import Trajectory
+from relayosc.lti import SAMPLES, PlantSpec, loop_matrix
+from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
 from relayosc.variation import cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
 
 
@@ -192,6 +194,109 @@ def reference_brute_force_fixed_points(
     return sorted(found)
 
 
+def reference_simulate(
+    plant: PlantSpec,
+    seed_history,
+    steps: int,
+    divergence_factor: float = DEFAULTS.divergence_factor,
+) -> Trajectory:
+    """The literal step loop, without cycle detection: every sample stepped.
+
+    ``simulate`` must return these waveform and relay bytes, and raise
+    the same errors, on every finite plant.
+    """
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+    seed = _check_seed(seed_history)
+    cap = divergence_factor * plant.g0.l1_bound()
+    delay = plant.delay
+    dz = plant.dead_zone
+
+    lead = len(seed)
+    # relay history indexed by shifted time: r_all[i] holds r(i - lead)
+    r_all = np.zeros(lead + steps, dtype=np.int8)
+    r_all[:lead] = seed
+
+    use_fir = plant.g0.kind == SAMPLES
+    if use_fir:
+        taps = plant.g0.values
+
+        def fir_output(tau: int) -> float:
+            acc = 0.0
+            for k in range(min(taps.size, tau + lead + 1)):
+                acc += taps[k] * r_all[tau - k + lead]
+            return acc
+
+    else:
+        b, a = _num_den_taps(plant)
+        order = a.size - 1
+        # y history reaches back far enough for both the recurrence taps
+        # and the delayed reads; seeded values are exact finite sums
+        # because the pre-seed relay history is identically zero
+        back = max(order, delay, 1)
+        y_all = np.zeros(back + steps)  # y_all[i] holds y(i - back)
+        g_head = plant.g0.samples(max(lead, 1))
+        for tau in range(-min(back, lead), 0):
+            acc = 0.0
+            for k in range(tau + lead + 1):
+                acc += g_head[k] * r_all[tau - k + lead]
+            y_all[tau + back] = acc
+
+        def recurrence(tau: int, r_now: int) -> float:
+            """y(tau) given relay history and y(tau-1..tau-order)."""
+            acc = b[0] * r_now
+            for i in range(1, b.size):
+                if tau - i + lead >= 0:
+                    acc += b[i] * r_all[tau - i + lead]
+            for j in range(1, order + 1):
+                acc -= a[j] * y_all[tau - j + back]
+            return acc
+
+    g00 = plant.g0.sample(0)
+    u = np.zeros(steps)
+    for t in range(steps):
+        tau = t - delay
+        if delay >= 1:
+            if use_fir:
+                yt = fir_output(tau)
+            elif tau < 0:
+                yt = y_all[tau + back]
+            else:
+                yt = recurrence(tau, int(r_all[tau + lead]))
+                y_all[tau + back] = yt
+            u[t] = -yt
+            r_all[t + lead] = relay(u[t], dz)
+        else:
+            # algebraic loop: y(t) = c + g0(0) * r(t); the instantaneous
+            # gain is positive so at most one relay output is consistent
+            if use_fir:
+                c = fir_output(t) - g00 * r_all[t + lead]
+            else:
+                c = recurrence(t, 0)
+            chosen = None
+            for cand in (1, 0, -1):
+                if relay(-(c + g00 * cand), dz) == cand:
+                    chosen = cand
+                    break
+            if chosen is None:
+                raise SimulationError(
+                    f"no consistent relay output at step {t}: the zero-delay loop "
+                    f"chatters (offset {-c:.6g}, instantaneous gain {g00:.6g})"
+                )
+            r_all[t + lead] = chosen
+            u[t] = -(c + g00 * chosen)
+            if not use_fir:
+                y_all[t + back] = c + g00 * chosen
+        if abs(u[t]) > cap:
+            raise SimulationError(
+                f"waveform magnitude {abs(u[t]):.6g} exceeded the divergence cap "
+                f"{cap:.6g} at step {t}; the loop output is bounded by the response's "
+                f"absolute sum, so this indicates a defect"
+            )
+
+    return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
+
+
 def reference_rational_head(num, den, n: int) -> np.ndarray:
     """First n samples of num(z)/den(z) (monic den) by its recurrence, from t = 0.
 
@@ -270,6 +375,22 @@ def simulate_by_convolution(plant, seed_history, steps: int, tol: float = 1e-14)
         u[t] = -acc
         r_all[t + lead] = relay(u[t], plant.dead_zone)
     return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``, so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,6 +1,4 @@
-import contextlib
 import json
-import signal
 
 import numpy as np
 import pytest
@@ -34,23 +32,8 @@ from conftest import (
     reference_brute_force_fixed_points,
     reference_period_records,
     reference_unimodal_patterns,
+    time_limit,
 )
-
-
-@contextlib.contextmanager
-def time_limit(seconds: float):
-    """Raise TimeoutError in the block once it has run ``seconds``, so a hang fails instead of stalling."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def geometric_plant(ratio, delay, dead_zone=0.0):

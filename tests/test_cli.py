@@ -250,6 +250,10 @@ class TestSimulateVerb:
     def test_needs_seeds(self, capsys):
         assert cli.main(["simulate", "--geometric", "0.1", "--delay", "2"]) == 1
 
+    def test_non_finite_response_is_refused(self, capsys):
+        assert cli.main(["simulate", "--samples", "1,nan", "--delay", "1", "--seed", "1"]) == 1
+        assert "error: the response's absolute sum is nan" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relayosc.analyzer import find_oscillations, verify_fixed_point
+from relayosc.analyzer import canonical_rotation, find_oscillations, verify_fixed_point
 from relayosc.lti import ImpulseResponse, PlantSpec
 from relayosc.simulate import (
     SimulationError,
@@ -11,7 +13,7 @@ from relayosc.simulate import (
     simulate,
 )
 
-from conftest import simulate_by_convolution
+from conftest import reference_simulate, simulate_by_convolution, time_limit
 
 EXAMPLE_SEEDS = {
     18: [1] * 9 + [-1] * 9,
@@ -22,6 +24,36 @@ EXAMPLE_SEEDS = {
 
 def fast_plant(delay=9, dead_zone=0.0):
     return PlantSpec(ImpulseResponse.geometric(0.1), delay, dead_zone)
+
+
+@st.composite
+def loop_runs(draw):
+    """A finite plant (negative taps allowed), a relay seed and a horizon."""
+    kind = draw(st.sampled_from(["geometric", "rational", "samples"]))
+    lead_tap = st.floats(0.1, 2.0)
+    tap = st.floats(-2.0, 2.0)
+    if kind == "geometric":
+        g = ImpulseResponse.geometric(draw(st.floats(0.01, 0.99)), draw(lead_tap))
+    elif kind == "rational":
+        order = draw(st.integers(1, 2))
+        poles = draw(st.lists(st.floats(-0.95, 0.95), min_size=order, max_size=order))
+        num = [draw(lead_tap)] + draw(st.lists(tap, min_size=order, max_size=order))
+        g = ImpulseResponse.from_rational(num, np.poly(poles))
+    else:
+        g = ImpulseResponse.from_samples([draw(lead_tap)] + draw(st.lists(tap, max_size=9)))
+    dead_zone = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    plant = PlantSpec(g, draw(st.integers(0, 6)), dead_zone)
+    seed = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=15))
+    return plant, seed, draw(st.integers(1, 700))
+
+
+def run_outcome(run, plant, seed, steps):
+    """Waveform and relay bytes of a run, or the type and message of its error."""
+    try:
+        traj = run(plant, seed, steps)
+    except (ValueError, SimulationError) as exc:
+        return type(exc), str(exc)
+    return traj.u.tobytes(), traj.relay_out.tobytes()
 
 
 class TestSimulate:
@@ -113,6 +145,38 @@ class TestSimulate:
         with pytest.raises(SimulationError, match="chatters"):
             simulate(plant, [1, -1], 60)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            ImpulseResponse.from_samples([1.0, float("nan")]),
+            ImpulseResponse.from_samples([1.0, float("inf")]),
+            ImpulseResponse.geometric(0.5, float("inf")),
+        ],
+    )
+    def test_non_finite_response_is_refused(self, g):
+        with pytest.raises(ValueError, match="only finite responses"):
+            simulate(PlantSpec(g, 1), [1, -1], 20)
+
+
+class TestCycleDetection:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(loop_runs())
+    def test_bitwise_equal_to_stepping_every_sample(self, run):
+        plant, seed, steps = run
+        assert run_outcome(simulate, plant, seed, steps) == run_outcome(reference_simulate, plant, seed, steps)
+
+    def test_long_horizon_costs_the_transient(self):
+        plant = fast_plant()
+        steps = 10**6
+        for period, seed in EXAMPLE_SEEDS.items():
+            with time_limit(1.0):
+                long = simulate(plant, seed, steps)
+            # the short run ends at the same phase of the cycle as the long
+            # one, and its second half is past the transient
+            short = reference_simulate(plant, seed, 400 + (steps - 400) % period)
+            assert long.u[-200:].tobytes() == short.u[-200:].tobytes()
+            assert long.relay_out[-200:].tobytes() == short.relay_out[-200:].tobytes()
+
 
 class TestDetectPeriod:
     def test_needs_enough_window(self):
@@ -128,6 +192,24 @@ class TestDetectPeriod:
         traj = Trajectory(u=u, relay_out=r, seed_history=(), plant=fast_plant(2, 0.5))
         hit = detect_period(traj)
         assert hit is not None and hit[0] == 4
+
+    def test_nan_gap_is_no_period(self):
+        u = np.full(40, np.nan)
+        traj = Trajectory(u=u, relay_out=np.zeros(40, dtype=np.int8), seed_history=(), plant=fast_plant())
+        assert detect_period(traj) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12),
+        st.sampled_from([np.int8, np.int64]),
+    )
+    def test_phase_is_the_smallest_roll_to_canonical(self, pattern, dtype):
+        r = np.array(pattern * 5, dtype=dtype)
+        traj = Trajectory(u=r.astype(float), relay_out=r, seed_history=(), plant=fast_plant())
+        period, phase = detect_period(traj)
+        tail = [int(x) for x in r[-period:]]
+        canon = canonical_rotation(tail)
+        assert phase == next(k for k in range(period) if tuple(int(x) for x in np.roll(tail, k)) == canon)
 
     def test_phase_points_to_canonical(self):
         plant = fast_plant()
