@@ -14,6 +14,7 @@ oscillations outside the single-peaked class.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -381,15 +382,32 @@ def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> 
     return _record_from(u, s)
 
 
+def _rounding_bound(period: int, sigma: float) -> float:
+    """tau = 18 P u sigma (u = 2^-53), the rounding allowance of both screens; inf when 8 sigma is not finite.
+
+    Entry i of K @ s sums P exact terms (s_j in {-1, 0, 1}) of absolute sum at most sigma, in an
+    order BLAS picks, so the product is off by at most gamma_{P-1} sigma (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1, 4.2). Each screen derives why tau also covers
+    its own estimate of the entry. With tau inf nothing is rejected.
+    """
+    return 18 * period * 2.0**-53 * sigma if np.isfinite(8 * sigma) else np.inf
+
+
+def _margin(u, level, dead_zone: float):
+    """How far u clears the relay interval of ``level``: level u - dead_zone for +-1, dead_zone - |u| for 0."""
+    if np.ndim(level) == 0:  # one level for every entry
+        return dead_zone - np.abs(u) if level == 0 else level * u - dead_zone
+    return np.where(level == 0, dead_zone - np.abs(u), level * u - dead_zone)
+
+
 def _screen(c: np.ndarray, rows: np.ndarray, dead_zone: float):
     """Screen each row at six slots in O(1): returns (slots, entries u_hat, tau, survivor mask).
 
     Row (b, z1, a, z2) is s = [-^b 0^z1 +^a 0^z2]. Entry u_i of -(c conv s) is the sum of
     c[(i - j) mod P] over j < b minus that over the positive run, each a difference of prefix sums
     of (c, c), at both ends of each run and at the zeros (else a positive end). A row is rejected when a slot
-    misses its relay level by more than tau. With u = 2^-53, sigma = sum |c| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.1, 4.2): K @ s sums P exact terms in any order,
-    off by gamma_{P-1} sigma; four prefix sums of <= 2P terms by 8 gamma_{2P-1} sigma; the three
+    misses its relay level by more than tau (:func:`_rounding_bound`, sigma = sum |c|): K @ s is off
+    by gamma_{P-1} sigma; four prefix sums of <= 2P terms by 8 gamma_{2P-1} sigma; the three
     subtractions over disjoint runs by 2 u sigma. tau = 18 P u sigma > (17P - 7) u sigma covers the
     second order and its own rounding. Rounding is monotone and -tau a float: a rounded margin
     below -tau is a true one. If 8 sigma overflows or c is not finite, nothing is rejected.
@@ -398,13 +416,12 @@ def _screen(c: np.ndarray, rows: np.ndarray, dead_zone: float):
     b, z1, a, z2 = (rows[:, k : k + 1] for k in range(4))
     slots = np.hstack([0 * b, b - 1, b + z1, period - 1 - z2, b, 0 * b + period - 1])
     levels = np.hstack([0 * b - 1, 0 * b - 1, 0 * b + 1, 0 * b + 1, 1 - z1, 1 - z2])
-    sigma = float(np.abs(c).sum())
-    tau = 18 * period * 2.0**-53 * sigma if np.isfinite(8 * sigma) else np.inf
+    tau = _rounding_bound(period, float(np.abs(c).sum()))
     with np.errstate(all="ignore"):  # non-finite entries leave tau inf or nan and reject nothing
         prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((c, c)))))
         neg, pos = (slots - b + 1) % period, (slots + z2 + 1) % period
         u = prefix[neg + b] - prefix[neg] - (prefix[pos + a] - prefix[pos])
-        margin = np.where(levels == 0, dead_zone - np.abs(u), levels * u - dead_zone)
+        margin = _margin(u, levels, dead_zone)
     return slots, u, tau, ~np.any(margin < -tau, axis=1)
 
 
@@ -507,12 +524,65 @@ def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict
 # -- exhaustive oracle -----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # n <= _ORACLE_CHUNK: at most 11 tables, under 1 MB
 def _digit_table(n: int) -> np.ndarray:
-    """Row c holds the base-3 digits of c, lowest first, each minus one: int8, shape (3^n, n)."""
+    """Row c holds the base-3 digits of c, lowest first, each minus one: int8, shape (3^n, n), read-only."""
     table = np.empty((3**n, n), dtype=np.int8)
     for j in range(n):
         table[:, j] = np.tile(np.repeat(np.array([-1, 0, 1], dtype=np.int8), 3**j), 3 ** (n - 1 - j))
+    table.flags.writeable = False
     return table
+
+
+def _digit_sums(weights: np.ndarray) -> np.ndarray:
+    """Entry (i, c) is sum_j d_j weights[j, i], d row c of ``_digit_table(len(weights))``, added digit by digit."""
+    sums = np.zeros((weights.shape[1], 1))
+    for w in weights:
+        sums = (np.multiply.outer(w, [-1.0, 0.0, 1.0])[:, :, None] + sums[:, None, :]).reshape(w.size, -1)
+    return sums
+
+
+def _block_hits(kernel: np.ndarray, low: int, digits: np.ndarray, dead_zone: float) -> list[tuple[int, ...]]:
+    """The nonzero rows of one block that the block product fixes: ``relay_vec(rows @ kernel)`` equals the row."""
+    pats = np.empty((3**low, kernel.shape[0]), dtype=np.int8)
+    pats[:, :low] = _digit_table(low)
+    pats[:, low:] = digits
+    # the float rows are freed as soon as their product exists, which keeps the peak low
+    hits = np.all(relay_vec(pats.astype(float) @ kernel, dead_zone) == pats, axis=1)
+    return [p for p in map(tuple, pats[hits].tolist()) if any(p)]
+
+
+def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float):
+    """(patterns the screen proves fixed, blocks it leaves to the block product); see the oracle."""
+    period = kernel.shape[0]
+    table = _digit_table(low)
+    low_sums, high_sums = _digit_sums(kernel[:low]), _digit_sums(kernel[low:])
+    blocks = _digit_table(period - low)
+    middle, zero_row = (len(blocks) - 1) // 2, (3**low - 1) // 2
+    found: list[tuple[int, ...]] = []
+    marked = []
+    for block in range(middle + 1):  # of n blocks, block n - 1 - b holds the negated rows of b
+        v, digits = high_sums[:, block], blocks[block]
+        # high columns first: their level is the block's digit for every row
+        level = digits[-1] if low < period else table[:, -1]
+        keep = np.flatnonzero(_margin(low_sums[-1] + v[-1], level, dead_zone) >= -tau)
+        for i in range(period - 2, -1, -1):
+            if not keep.size:
+                break
+            level = digits[i - low] if i >= low else table[keep, i]
+            keep = keep[_margin(low_sums[i, keep] + v[i], level, dead_zone) >= -tau]
+        if block == middle:
+            keep = keep[keep != zero_row]  # the all-zero row: 0 in any order, and never reported
+        if not keep.size:
+            continue
+        pats = np.hstack([table[keep], np.broadcast_to(digits, (keep.size, period - low))])
+        if not np.all(_margin(low_sums[:, keep] + v[:, None], pats.T, dead_zone) > tau):
+            marked.extend({block, len(blocks) - 1 - block})
+            continue
+        found.extend(map(tuple, pats.tolist()))
+        if block < middle:
+            found.extend(map(tuple, (-pats).tolist()))
+    return found, sorted(marked)
 
 
 def brute_force_fixed_points(
@@ -530,9 +600,30 @@ def brute_force_fixed_points(
     appear individually.
 
     Pattern c has the base-3 digits of c, lowest first, minus one. One row
-    block holds the 3^10 low digit rows; only its high columns change. A
-    row is fixed when its relay image has its code (c minus the all-zero
-    code (3^P - 1) / 2); codes are exact in float64 (3^16 < 2^53).
+    block holds the 3^10 low digit rows; only its high columns change. The
+    judge is the block product: a row is fixed when the relay image of
+    ``rows @ kernel`` over its whole block equals it.
+
+    Screen, then verify. Entry i of s @ kernel sums P exact terms of
+    absolute sum at most sigma, the largest column sum of |kernel|. The
+    screen adds them digit by digit, the low and the high digits' sums
+    apart, once per period, then one add per row: a summation tree off by
+    at most gamma_{P-1} sigma. The block product is off by as much in any
+    order, so the two differ by less than tau = 18 P u sigma
+    (:func:`_rounding_bound`). Column by column, high ones first, a row is
+    rejected when its rounded margin to its own level is below -tau. Then
+    so is the exact margin of the screened value (rounding is monotone and
+    -tau a float), and the product misses the level too. A survivor whose
+    every rounded margin exceeds tau meets
+    its levels in any summation order and is reported. Any other survivor
+    sends its block to the block product, since BLAS may round a row
+    differently among other rows. The all-zero row is 0 in every order and
+    never reported, so it sends no block. Negating a row negates each of
+    its sums exactly (rounding is symmetric), and the negated rows of
+    block b of n fill block n - 1 - b: the screen decides the first half
+    of the blocks and mirrors its decisions. If 8 sigma overflows or the
+    kernel is not finite, every block goes to the product, which meets
+    the bad entries as it always did.
     """
     if period < 1:
         raise ValueError("period must be positive")
@@ -540,16 +631,15 @@ def brute_force_fixed_points(
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
     kernel = loop_matrix(plant, period, tol).T  # row s -> row u through s @ kernel
     low = min(period, _ORACLE_CHUNK)
-    rows = np.empty((3**low, period))
-    rows[:, :low] = _digit_table(low)
-    powers = 3.0 ** np.arange(period)
-    codes = np.arange(3**low, dtype=float) - (3**period - 1) // 2
-    found: list[tuple[int, ...]] = []
-    for block, digits in enumerate(_digit_table(period - low)):
-        rows[:, low:] = digits
-        # one expression: no block's image or product outlives it, which keeps the peak low
-        hits = relay_vec(rows @ kernel, plant.dead_zone) @ powers == codes + block * 3**low
-        found.extend(tuple(int(x) for x in row) for row in rows[hits] if row.any())
+    tau = _rounding_bound(period, float(np.abs(kernel).sum(axis=0).max()))
+    if np.isfinite(tau):
+        # in its own call: the screen's sums are freed before any block product
+        found, marked = _oracle_screen(kernel, low, plant.dead_zone, tau)
+    else:
+        found, marked = [], range(3 ** (period - low))
+    blocks = _digit_table(period - low)
+    for block in marked:
+        found.extend(_block_hits(kernel, low, blocks[block], plant.dead_zone))
     return sorted(found)
 
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import analyzer
 from .config import DEFAULTS
-from .simulate import SimulationError, classify, detect_period, simulate
+from .simulate import SimulationError, _check_inputs, classify, detect_period, simulate
 from .lti import (
     PlantSpec,
     UnstablePlantError,
@@ -247,6 +247,8 @@ def cmd_simulate(args) -> int:
         seeds.append([int(tok) for tok in text.split(",") if tok])
     if not seeds:
         raise ValueError("simulate needs --seed lists or --seed-file")
+    for seed in seeds:  # refuse before the header, so a refusal prints nothing on stdout
+        _check_inputs(plant, seed, args.steps)
     print("seed,period,phase,admissible,self_oscillation,residual,error")
     for idx, seed in enumerate(seeds):
         try:

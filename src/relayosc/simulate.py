@@ -76,6 +76,17 @@ def _check_seed(seed_history) -> list[int]:
     return seed
 
 
+def _check_inputs(plant: PlantSpec, seed_history, steps: int) -> tuple[list[int], float]:
+    """The seed as ints and the response's absolute sum; ValueError for whatever :func:`simulate` refuses."""
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+    seed = _check_seed(seed_history)
+    l1 = plant.g0.l1_bound()
+    if not math.isfinite(l1):
+        raise ValueError(f"the response's absolute sum is {l1}; only finite responses can be simulated")
+    return seed, l1
+
+
 def _num_den_taps(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
     """(b, a) with y(t) = sum_i b[i] r(t-i) - sum_{j>=1} a[j] y(t-j)."""
     g0 = plant.g0
@@ -115,12 +126,7 @@ def simulate(
     so no chatter or divergence error is lost by stopping. The result
     is bitwise identical to stepping every sample.
     """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    seed = _check_seed(seed_history)
-    l1 = plant.g0.l1_bound()
-    if not math.isfinite(l1):
-        raise ValueError(f"the response's absolute sum is {l1}; only finite responses can be simulated")
+    seed, l1 = _check_inputs(plant, seed_history, steps)
     cap = divergence_factor * l1
     delay = plant.delay
     dz = plant.dead_zone

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from relayosc.analyzer import _fixed_waveform, _record_from, enumerate_unimodal_patterns
 from relayosc.config import DEFAULTS
-from relayosc.lti import SAMPLES, PlantSpec, loop_matrix
+from relayosc.lti import SAMPLES, ImpulseResponse, PlantSpec, loop_matrix
 from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
 from relayosc.variation import cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
 
@@ -164,6 +165,22 @@ def reference_period_records(plant, period: int, prune_sign_symmetric: bool = Fa
         if u is not None:
             out.append(_record_from(u, arr))
     return out
+
+
+@st.composite
+def responses(draw):
+    """A finite core response: geometric, rational of order 1-2 or samples, negative taps allowed."""
+    kind = draw(st.sampled_from(["geometric", "rational", "samples"]))
+    lead_tap = st.floats(0.1, 2.0)
+    tap = st.floats(-2.0, 2.0)
+    if kind == "geometric":
+        return ImpulseResponse.geometric(draw(st.floats(0.01, 0.99)), draw(lead_tap))
+    if kind == "rational":
+        order = draw(st.integers(1, 2))
+        poles = draw(st.lists(st.floats(-0.95, 0.95), min_size=order, max_size=order))
+        num = [draw(lead_tap)] + draw(st.lists(tap, min_size=order, max_size=order))
+        return ImpulseResponse.from_rational(num, np.poly(poles))
+    return ImpulseResponse.from_samples([draw(lead_tap)] + draw(st.lists(tap, max_size=9)))
 
 
 def reference_brute_force_fixed_points(

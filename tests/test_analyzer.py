@@ -1,8 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conftest
 from relayosc import analyzer
 from relayosc.analyzer import (
     _digit_table,
@@ -32,6 +36,7 @@ from conftest import (
     reference_brute_force_fixed_points,
     reference_period_records,
     reference_unimodal_patterns,
+    responses,
     time_limit,
 )
 
@@ -399,6 +404,72 @@ class TestOracleAgainstReference:
         found = brute_force_fixed_points(plant, period)
         assert found == reference_brute_force_fixed_points(plant, period)
         assert len({p[10:] for p in found}) == hit_blocks
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        responses(),
+        st.integers(0, 6),
+        st.sampled_from(range(1, 13)),  # integers() would draw mostly P = 1
+        st.sampled_from(["zero", "edge", "below", "above", "random"]),
+        st.floats(0.0, 2.0),
+    )
+    def test_equals_the_reference(self, g, delay, period, where, random_dead_zone):
+        # the edge is the threshold where it exists; rows at it go to the block product
+        edge = max(dead_zone_threshold(PlantSpec(g, delay)), 0.0) if delay else 0.0
+        dead_zone = {
+            "zero": 0.0,
+            "edge": edge,
+            "below": np.nextafter(edge, 0.0),
+            "above": np.nextafter(edge, np.inf),
+            "random": random_dead_zone,
+        }[where]
+        plant = PlantSpec(g, delay, float(dead_zone))
+        assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(plant, period)
+
+    @pytest.mark.parametrize(
+        "samples, dead_zone",
+        [([1.0, np.nan], 0.0), ([1.0, np.inf], 0.0), ([1e307, -1e307, 1e307], 0.0), ([1.0, 0.5], np.inf),
+         ([1.0, 0.5], np.nan)],
+    )
+    def test_non_finite_or_overflowing_kernels_match_the_reference(self, samples, dead_zone):
+        # the same patterns, or the same error, and the same warnings as the block product everywhere
+        plant = PlantSpec(ImpulseResponse.from_samples(samples), 2, dead_zone)
+        for period in range(1, 13):
+            outcomes = []
+            for oracle in (brute_force_fixed_points, reference_brute_force_fixed_points):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        outcome = oracle(plant, period)
+                    except ValueError as exc:
+                        outcome = str(exc)
+                outcomes.append((outcome, [str(w.message) for w in caught]))
+            assert outcomes[0] == outcomes[1], period
+
+    @pytest.mark.parametrize("a0, a1", [(2.0, 2.0), (5.0, -3.0)], ids=["zero-slot", "plus-slot"])
+    def test_rows_that_round_apart_go_to_the_block_product(self, a0, a1, monkeypatch):
+        # u_0 = a0 s_0 + a1 s_1 + 2^-52 (s_10 + s_11) at dead zone 2, with s_1 = s_10 forced
+        # and s_2..s_9 = 0. In the block s_10 = s_11 = 1, one row puts u_0 at 2: summed left
+        # to right it is 2, an edge, while the screen adds the high digits first and gets
+        # 2 + 2^-51. Every other row of that block clears its edges, so only the rounding
+        # allowance sends the block to the product, which decides the row
+        assert 2.0 + 2.0**-52 + 2.0**-52 != 2.0 + (2.0**-52 + 2.0**-52)
+        K = np.zeros((12, 12))
+        K[0, :2], K[0, 10:] = (a0, a1), 2.0**-52
+        K[1, 10] = K[10, 10] = K[11, 11] = 3.0
+        for module in (analyzer, conftest):
+            monkeypatch.setattr(module, "loop_matrix", lambda plant, p, tol: K)
+        plant = geometric_plant(0.1, 1, 2.0)
+        found = brute_force_fixed_points(plant, 12)
+        assert found == reference_brute_force_fixed_points(plant, 12)
+        assert found
+
+    def test_fourteen_digits_in_a_fraction_of_a_second(self):
+        # 81 blocks of 3^10 rows; the block product alone takes about 0.4 s
+        plant = geometric_plant(0.1, 9)
+        with time_limit(0.25):
+            found = brute_force_fixed_points(plant, 14)
+        assert found == reference_brute_force_fixed_points(plant, 14)
 
 
 def record_keys(records):

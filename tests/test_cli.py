@@ -254,6 +254,22 @@ class TestSimulateVerb:
         assert cli.main(["simulate", "--samples", "1,nan", "--delay", "1", "--seed", "1"]) == 1
         assert "error: the response's absolute sum is nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--samples", "1,nan", "--delay", "1", "--seed", "1"],
+            ["--geometric", "0.5", "--delay", "1", "--seed", "1,-1", "--seed", "1,2"],
+            ["--geometric", "0.5", "--delay", "1", "--seed", "1", "--steps", "0"],
+        ],
+        ids=["non-finite-response", "second-seed-out-of-range", "no-steps"],
+    )
+    def test_refusal_prints_nothing_on_stdout(self, argv, capsys):
+        # every input is checked before the CSV header, so stdout holds no partial table
+        assert cli.main(["simulate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "argv",

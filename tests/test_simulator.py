@@ -13,7 +13,7 @@ from relayosc.simulate import (
     simulate,
 )
 
-from conftest import reference_simulate, simulate_by_convolution, time_limit
+from conftest import reference_simulate, responses, simulate_by_convolution, time_limit
 
 EXAMPLE_SEEDS = {
     18: [1] * 9 + [-1] * 9,
@@ -29,18 +29,7 @@ def fast_plant(delay=9, dead_zone=0.0):
 @st.composite
 def loop_runs(draw):
     """A finite plant (negative taps allowed), a relay seed and a horizon."""
-    kind = draw(st.sampled_from(["geometric", "rational", "samples"]))
-    lead_tap = st.floats(0.1, 2.0)
-    tap = st.floats(-2.0, 2.0)
-    if kind == "geometric":
-        g = ImpulseResponse.geometric(draw(st.floats(0.01, 0.99)), draw(lead_tap))
-    elif kind == "rational":
-        order = draw(st.integers(1, 2))
-        poles = draw(st.lists(st.floats(-0.95, 0.95), min_size=order, max_size=order))
-        num = [draw(lead_tap)] + draw(st.lists(tap, min_size=order, max_size=order))
-        g = ImpulseResponse.from_rational(num, np.poly(poles))
-    else:
-        g = ImpulseResponse.from_samples([draw(lead_tap)] + draw(st.lists(tap, max_size=9)))
+    g = draw(responses())
     dead_zone = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
     plant = PlantSpec(g, draw(st.integers(0, 6)), dead_zone)
     seed = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=15))
