@@ -5,16 +5,17 @@ whose relay image, pushed through the delayed plant and negated,
 reproduces u. Because the relay output determines the waveform, the
 search space is finite: candidate sign patterns over one period. The
 analyzer enumerates the single-peaked candidates (one positive run, one
-negative run, optionally separated by single zeros), screens each in O(1),
-verifies every survivor as a fixed point, and annotates the findings
-against the provable period bounds. An exhaustive oracle over all 3^P
-patterns provides the independent cross-check and also surfaces
-oscillations outside the single-peaked class.
+negative run, optionally separated by single zeros), screens each in O(1)
+in batches of many periods, verifies every survivor as a fixed point, and
+annotates the findings against the provable period bounds. An exhaustive
+oracle over all 3^P patterns provides the independent cross-check and also
+surfaces oscillations outside the single-peaked class.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,6 +67,8 @@ __all__ = [
 
 #: low base-3 digits per oracle block (3**10 patterns per block)
 _ORACLE_CHUNK = 10
+#: candidate rows the analyzer screens at once, which bounds the screen's temporaries at any pmax
+_SCREEN_ROWS = 2048
 
 
 class InternalCheckError(AssertionError):
@@ -294,9 +297,15 @@ def default_pmax(plant: PlantSpec, tol: float = DEFAULTS.tol) -> int:
     Nothing single-peaked exists beyond the bound, so the slack exists
     to detect bound violations as loud failures instead of silence.
     """
+    return _bounds_and_pmax(plant, tol)[1]
+
+
+def _bounds_and_pmax(plant: PlantSpec, tol: float) -> tuple[Optional[PeriodBounds], int]:
+    """(the period bounds, None without a delay; the default pmax derived from them)."""
     if plant.delay < 1:
-        return 2 * (1 + dominance_index(plant.g0, tol)) + DEFAULTS.pmax_slack
-    return period_bounds(plant, tol).upper + DEFAULTS.pmax_slack
+        return None, 2 * (1 + dominance_index(plant.g0, tol)) + DEFAULTS.pmax_slack
+    bounds = period_bounds(plant, tol)
+    return bounds, bounds.upper + DEFAULTS.pmax_slack
 
 
 # -- pattern enumeration --------------------------------------------------
@@ -321,15 +330,18 @@ def enumerate_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
     """
     if period < 2:
         raise ValueError("patterns need at least two entries")
-    return [(-1,) * b + (0,) * z1 + (1,) * a + (0,) * z2 for b, z1, a, z2 in _run_shapes(period).tolist()]
+    return [(-1,) * b + (0,) * z1 + (1,) * a + (0,) * z2 for _, b, z1, a, z2 in _sweep_rows([period]).tolist()]
 
 
-def _run_shapes(period: int) -> np.ndarray:
-    """Rows (b, z1, a, z2) of [-^b 0^z1 +^a 0^z2], sorted: longer negative runs, then zeros, first."""
-    b = np.repeat(np.arange(period - 1, 0, -1), 4)
-    z1, z2 = np.tile([[1, 1, 0, 0], [1, 0, 1, 0]], period - 1)
-    rows = np.stack([b, z1, period - b - z1 - z2, z2], axis=1)
-    return rows[rows[:, 2] >= 1]
+def _sweep_rows(periods) -> np.ndarray:
+    """Rows (P, b, z1, a, z2) of [-^b 0^z1 +^a 0^z2], period by period: longer negative runs, then zeros, first."""
+    periods = np.asarray(periods, dtype=np.int64)
+    n = 4 * (periods - 1)  # b = P - 1 .. 1, each with (z1, z2) = (1, 1), (1, 0), (0, 1), (0, 0)
+    P = np.repeat(periods, n)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    b, z1, z2 = P - 1 - k // 4, 1 - (k >> 1 & 1), 1 - (k & 1)
+    rows = np.stack([P, b, z1, P - b - z1 - z2, z2], axis=1)
+    return rows[rows[:, 3] >= 1]
 
 
 # -- fixed-point verification ----------------------------------------------
@@ -400,8 +412,42 @@ def _margin(u, level, dead_zone: float):
     return np.where(level == 0, dead_zone - np.abs(u), level * u - dead_zone)
 
 
-def _screen(c: np.ndarray, rows: np.ndarray, dead_zone: float):
-    """Screen each row at six slots in O(1): returns (slots, entries u_hat, tau, survivor mask).
+#: (waveform entry, relay level) of each screened slot of the rows (P, b, z1, z2), most selective
+#: first: 12, 23, 23, 41, 81 and 81% of the long-period benchmark's candidates pass each one alone
+_SLOTS = (
+    lambda P, b, z1, z2: (P - 1, 1 - z2),  # the last entry: a trailing zero, else the positive run
+    lambda P, b, z1, z2: (b - 1, -1),  # the end of the negative run
+    lambda P, b, z1, z2: (P - 1 - z2, 1),  # the end of the positive run
+    lambda P, b, z1, z2: (b, 1 - z1),  # after the negative run: a zero, else the positive run
+    lambda P, b, z1, z2: (0, -1),  # the start of the negative run
+    lambda P, b, z1, z2: (b + z1, 1),  # the start of the positive run
+)
+
+
+def _prefix_sums(folds: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prefix sums of (c, c) of every period of ``folds`` one after the other, start of each, tau of each).
+
+    ``folds`` maps a period to its generator c and tau; the two tables are indexed by period.
+    """
+    size = max(folds) + 1
+    offset, tau = np.zeros(size, dtype=np.int64), np.zeros(size)
+    with np.errstate(all="ignore"):  # non-finite entries leave tau inf and reject nothing
+        prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in folds.values()]
+    periods = np.fromiter(folds, dtype=np.int64, count=len(folds))
+    offset[periods] = np.cumsum(2 * periods + 1) - (2 * periods + 1)
+    tau[periods] = [t for _, t in folds.values()]
+    return np.concatenate(prefixes), offset, tau
+
+
+def _entries(prefix: np.ndarray, rows: np.ndarray, offset, slot) -> np.ndarray:
+    """u_hat at ``slot`` of each row (P, b, z1, a, z2), from its period's prefix sums starting at ``offset``."""
+    P, b, _, a, z2 = rows.T
+    neg, pos = offset + (slot - b + 1) % P, offset + (slot + z2 + 1) % P
+    return prefix[neg + b] - prefix[neg] - (prefix[pos + a] - prefix[pos])
+
+
+def _screen(rows: np.ndarray, folds: dict, dead_zone: float) -> np.ndarray:
+    """Indices of the rows (P, b, z1, a, z2) that no slot rejects, in order; ``folds`` as in :func:`_prefix_sums`.
 
     Row (b, z1, a, z2) is s = [-^b 0^z1 +^a 0^z2]. Entry u_i of -(c conv s) is the sum of
     c[(i - j) mod P] over j < b minus that over the positive run, each a difference of prefix sums
@@ -411,39 +457,68 @@ def _screen(c: np.ndarray, rows: np.ndarray, dead_zone: float):
     subtractions over disjoint runs by 2 u sigma. tau = 18 P u sigma > (17P - 7) u sigma covers the
     second order and its own rounding. Rounding is monotone and -tau a float: a rounded margin
     below -tau is a true one. If 8 sigma overflows or c is not finite, nothing is rejected.
+    The slots are screened one at a time, each on the rows no earlier slot rejected: every entry is
+    the same elementwise expression as over all six slots at once, so it has the same bits.
     """
-    period = c.size
-    b, z1, a, z2 = (rows[:, k : k + 1] for k in range(4))
-    slots = np.hstack([0 * b, b - 1, b + z1, period - 1 - z2, b, 0 * b + period - 1])
-    levels = np.hstack([0 * b - 1, 0 * b - 1, 0 * b + 1, 0 * b + 1, 1 - z1, 1 - z2])
-    tau = _rounding_bound(period, float(np.abs(c).sum()))
-    with np.errstate(all="ignore"):  # non-finite entries leave tau inf or nan and reject nothing
-        prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((c, c)))))
-        neg, pos = (slots - b + 1) % period, (slots + z2 + 1) % period
-        u = prefix[neg + b] - prefix[neg] - (prefix[pos + a] - prefix[pos])
-        margin = _margin(u, levels, dead_zone)
-    return slots, u, tau, ~np.any(margin < -tau, axis=1)
+    prefix, offset, tau = _prefix_sums(folds)
+    keep = np.arange(len(rows))
+    with np.errstate(all="ignore"):
+        for slot_level in _SLOTS:
+            r = rows[keep]
+            P = r[:, 0]
+            slot, level = slot_level(P, r[:, 1], r[:, 2], r[:, 4])
+            margin = _margin(_entries(prefix, r, offset[P], slot), level, dead_zone)
+            keep = keep[~(margin < -tau[P])]
+    return keep
+
+
+def _batch_records(plant: PlantSpec, folds: dict, prune_sign_symmetric: bool) -> list[OscillationRecord]:
+    """Screen every candidate of the folded periods at once, then verify the survivors through ``K @ s``."""
+    rows = _sweep_rows(list(folds))
+    survivors = rows[_screen(rows, folds, plant.dead_zone)].tolist()
+    out = []
+    for period, group in itertools.groupby(survivors, key=lambda row: row[0]):
+        K = -circulant(folds[period][0])  # built only for a period with survivors
+        for _, *runs in group:
+            arr = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
+            if prune_sign_symmetric:
+                pos, neg, zero = sign_counts(arr)
+                if zero == 0 and pos != neg:
+                    continue
+            u = _fixed_waveform(K, arr, plant.dead_zone)
+            if u is not None:
+                out.append(_record_from(u, arr))
+    return out
+
+
+def _fold(plant: PlantSpec, period: int, tol: float) -> tuple[np.ndarray, float]:
+    """(the loop generator c at one period, the screen's tau for it)."""
+    c = loop_generator(plant, period, tol)
+    return c, _rounding_bound(period, float(np.abs(c).sum()))
+
+
+def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool, tol: float) -> list[OscillationRecord]:
+    """The analyzer over ``periods`` in order: fold each, screen in batches, verify the survivors."""
+    records: list[OscillationRecord] = []
+    folds: dict = {}
+    rows = 0
+    for period in periods:
+        folds[period] = _fold(plant, period, tol)
+        rows += 4 * period
+        # with tau finite, K @ s is finite and verification silent; a period with tau inf is
+        # verified before the next fold, so that what it warns or raises comes where it would
+        # in a sweep of one period at a time
+        if rows >= _SCREEN_ROWS or not np.isfinite(folds[period][1]) or period == periods[-1]:
+            records.extend(_batch_records(plant, folds, prune_sign_symmetric))
+            folds, rows = {}, 0
+    return records
 
 
 def period_records(
     plant: PlantSpec, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol
 ) -> list[OscillationRecord]:
     """The analyzer at one period: screen every candidate, verify the survivors through ``K @ s``."""
-    c = loop_generator(plant, period, tol)
-    rows = _run_shapes(period)
-    survivors = rows[_screen(c, rows, plant.dead_zone)[3]]
-    K = -circulant(c) if len(survivors) else None  # built only for a period with survivors
-    out = []
-    for row in survivors:
-        arr = np.repeat([-1.0, 0.0, 1.0, 0.0], row)
-        if prune_sign_symmetric:
-            pos, neg, zero = sign_counts(arr)
-            if zero == 0 and pos != neg:
-                continue
-        u = _fixed_waveform(K, arr, plant.dead_zone)
-        if u is not None:
-            out.append(_record_from(u, arr))
-    return out
+    return _sweep(plant, [period], prune_sign_symmetric, tol)
 
 
 def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool:
@@ -708,16 +783,16 @@ def find_oscillations(
     disagreement inside the single-peaked class is flagged as a
     violation (the exit-code-2 condition upstream).
     """
+    bounds = None
     if pmax is None:
-        pmax = default_pmax(plant, tol)
+        bounds, pmax = _bounds_and_pmax(plant, tol)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
-    records: list[OscillationRecord] = []
-    for period in range(2, pmax + 1):
-        records.extend(period_records(plant, period, prune_sign_symmetric, tol))
+    records = _sweep(plant, range(2, pmax + 1), prune_sign_symmetric, tol)
     records.sort(key=lambda r: (r.period, r.pattern))
 
-    bounds = period_bounds(plant, tol) if plant.delay >= 1 else None
+    if bounds is None and plant.delay >= 1:
+        bounds = period_bounds(plant, tol)
     absence = check_absence(plant, tol) if plant.delay == 0 else None
 
     violations: list[str] = []

@@ -153,10 +153,9 @@ def _records_csv(report) -> str:
 def cmd_analyze(args) -> int:
     plant = _build_plant(args)
     _require_decay(plant, args.tol)
-    pmax = args.pmax or analyzer.default_pmax(plant, args.tol)
-    oracle_pmax = min(pmax, DEFAULTS.analyze_oracle_pmax, args.oracle_cap)
+    oracle_pmax = min(DEFAULTS.analyze_oracle_pmax, args.oracle_cap)  # find_oscillations caps it at pmax
     report = analyzer.find_oscillations(
-        plant, pmax=pmax, prune_sign_symmetric=args.prune, oracle_pmax=oracle_pmax, tol=args.tol
+        plant, pmax=args.pmax, prune_sign_symmetric=args.prune, oracle_pmax=oracle_pmax, tol=args.tol
     )
     for line in _report_summary(report):
         print(line)
@@ -305,37 +304,30 @@ def cmd_oracle(args) -> int:
 
 # -- argument wiring -------------------------------------------------------
 
+_FLAGS = {
+    "pmax": dict(type=int, help="largest period swept (default: provable bound plus slack)"),
+    "format": dict(choices=("json", "csv"), default="json", help="report format for --out"),
+    "out": dict(help="output path"),
+    "seed-file": dict(help="JSON file with relay seed histories"),
+    "tol": dict(type=float, default=DEFAULTS.tol, help="certified truncation tolerance"),
+    "oracle-cap": dict(
+        type=int, default=DEFAULTS.oracle_cap, help="largest period the exhaustive oracle may attempt"
+    ),
+    "prune": dict(action="store_true", help="skip provably impossible zero-free patterns"),
+    "workers": dict(type=int, default=1, help="parallel workers for sweeps"),
+    "steps": dict(type=int, default=DEFAULTS.sim_steps, help="simulation horizon"),
+    "detect-tol": dict(type=float, default=DEFAULTS.detect_tol, help="steady-state repetition tolerance"),
+    "seed": dict(action="append", help="inline relay seed history, comma separated"),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--plant", help="plant spec JSON path")
-    p.add_argument("--geometric", help="inline plant: ratio[,gain]")
-    p.add_argument("--rational", help="inline plant: num-coeffs/den-coeffs, e.g. 1,0/1,-0.1")
-    p.add_argument("--samples", help="inline plant: comma list of samples")
-    p.add_argument("--delay", help="pure delay (int; sweep also accepts lo:hi or a comma list)")
-    p.add_argument("--dead-zone", dest="dead_zone", help="relay dead-zone half width (sweep: comma list)")
-    p.add_argument("--pmax", type=int, help="largest period swept (default: provable bound plus slack)")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="report format for --out")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed-file", dest="seed_file", help="JSON file with relay seed histories")
-    p.add_argument("--tol", type=float, default=DEFAULTS.tol, help="certified truncation tolerance")
-    p.add_argument(
-        "--oracle-cap",
-        dest="oracle_cap",
-        type=int,
-        default=DEFAULTS.oracle_cap,
-        help="largest period the exhaustive oracle may attempt",
-    )
-    p.add_argument("--prune", action="store_true", help="skip provably impossible zero-free patterns")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
-    p.add_argument("--steps", type=int, default=DEFAULTS.sim_steps, help="simulation horizon")
-    p.add_argument(
-        "--detect-tol",
-        dest="detect_tol",
-        type=float,
-        default=DEFAULTS.detect_tol,
-        help="steady-state repetition tolerance",
-    )
-    p.add_argument("--seed", action="append", help="inline relay seed history, comma separated")
+#: each verb's handler and the flags it reads besides the plant source
+_VERBS = {
+    "check-plant": (cmd_check_plant, ("tol",)),
+    "analyze": (cmd_analyze, ("pmax", "format", "out", "tol", "oracle-cap", "prune")),
+    "sweep": (cmd_sweep, ("pmax", "out", "tol", "prune", "workers")),
+    "simulate": (cmd_simulate, ("out", "seed-file", "steps", "detect-tol", "seed")),
+    "oracle": (cmd_oracle, ("pmax", "tol", "oracle-cap")),
+}
 
 
 def main(argv=None) -> int:
@@ -343,21 +335,23 @@ def main(argv=None) -> int:
         prog="relayosc",
         description="Self-oscillation analysis for discrete-time relay feedback loops",
     )
+    source = argparse.ArgumentParser(add_help=False)  # the plant source, which every verb reads
+    source.add_argument("--plant", help="plant spec JSON path")
+    source.add_argument("--geometric", help="inline plant: ratio[,gain]")
+    source.add_argument("--rational", help="inline plant: num-coeffs/den-coeffs, e.g. 1,0/1,-0.1")
+    source.add_argument("--samples", help="inline plant: comma list of samples")
+    source.add_argument("--delay", help="pure delay (int; sweep also accepts lo:hi or a comma list)")
+    source.add_argument("--dead-zone", help="relay dead-zone half width (sweep: comma list)")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "check-plant": cmd_check_plant,
-        "analyze": cmd_analyze,
-        "sweep": cmd_sweep,
-        "simulate": cmd_simulate,
-        "oracle": cmd_oracle,
-    }
-    for name in handlers:
-        _add_common(sub.add_parser(name))
+    for name, (_, flags) in _VERBS.items():
+        verb = sub.add_parser(name, parents=[source])
+        for flag in flags:
+            verb.add_argument("--" + flag, **_FLAGS[flag])
     args = parser.parse_args(argv)
     try:
-        if args.pmax is not None and args.pmax < 2:  # as find_oscillations refuses it
+        if getattr(args, "pmax", None) is not None and args.pmax < 2:  # as find_oscillations refuses it
             raise ValueError("pmax must be at least 2")
-        return handlers[args.command](args)
+        return _VERBS[args.command][0](args)
     except (ValueError, OSError, KeyError, UnstablePlantError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

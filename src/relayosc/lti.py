@@ -549,7 +549,8 @@ def cyclic_shift(v, k: int) -> np.ndarray:
     x = np.asarray(v)
     if x.ndim != 1:
         raise ValueError("cyclic_shift expects a vector")
-    return np.roll(x, k)
+    cut = x.size - k % x.size if x.size else 0  # np.roll's result, without its per-call overhead
+    return np.concatenate((x[cut:], x[:cut]))
 
 
 # -- plant ------------------------------------------------------------
@@ -573,7 +574,7 @@ class PlantSpec:
     def __post_init__(self):
         if self.delay < 0 or int(self.delay) != self.delay:
             raise ValueError("delay must be a nonnegative integer")
-        if self.dead_zone < 0:
+        if not self.dead_zone >= 0:  # NaN too: its relay maps every entry to 0
             raise ValueError("dead_zone must be nonnegative")
         if relative_degree(self.g0) != 0 or self.g0.sample(0) <= 0:
             raise ValueError("core response must start at a positive sample; factor the delay first")

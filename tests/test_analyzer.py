@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 import conftest
 from relayosc import analyzer
 from relayosc.analyzer import (
+    _SLOTS,
     _digit_table,
+    _entries,
     _fixed_waveform,
-    _run_shapes,
+    _fold,
+    _prefix_sums,
     _screen,
+    _sweep_rows,
     brute_force_fixed_points,
     canonical_rotation,
     check_absence,
@@ -28,7 +32,8 @@ from relayosc.analyzer import (
     subharmonic_periods,
     verify_fixed_point,
 )
-from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_generator, loop_matrix
+from relayosc.config import DEFAULTS
+from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_matrix
 from relayosc.variation import max_cyclic_sign_changes, sign_counts
 
 from conftest import (
@@ -433,6 +438,10 @@ class TestOracleAgainstReference:
     )
     def test_non_finite_or_overflowing_kernels_match_the_reference(self, samples, dead_zone):
         # the same patterns, or the same error, and the same warnings as the block product everywhere
+        if np.isnan(dead_zone):  # refused: its relay would map every entry to 0
+            with pytest.raises(ValueError, match="dead_zone must be nonnegative"):
+                PlantSpec(ImpulseResponse.from_samples(samples), 2, dead_zone)
+            return
         plant = PlantSpec(ImpulseResponse.from_samples(samples), 2, dead_zone)
         for period in range(1, 13):
             outcomes = []
@@ -525,52 +534,83 @@ class TestScreenThenVerify:
 
     def test_shapes_are_the_enumeration(self):
         for period in (2, 3, 7):
-            rows = _run_shapes(period)
+            rows = _sweep_rows([period])[:, 1:]
             assert [tuple(int(x) for x in s) for s in shape_patterns(rows, period)] == (
                 enumerate_unimodal_patterns(period)
             )
+        # a sweep's rows are each period's in turn, tagged with their period
+        periods = [2, 3, 7, 8, 30]
+        rows = _sweep_rows(periods)
+        assert rows[:, 0].tolist() == [p for p in periods for _ in enumerate_unimodal_patterns(p)]
+        assert np.array_equal(rows[:, 1:], np.vstack([_sweep_rows([p])[:, 1:] for p in periods]))
 
     def test_tolerance_covers_every_screened_entry(self):
-        # the rows of K at the screened slots times s, summed in einsum's order
-        # rather than BLAS's; the bound holds for any summation order
+        # the rows of K at all six screened slots of every row times s, summed in
+        # einsum's order rather than BLAS's; the bound holds for any summation order
         rng = np.random.default_rng(6)
         plants = twin_plants(0.995, 2) + twin_plants(0.995, 7)
         for _ in range(6):
             plants += twin_plants(float(rng.uniform(0.02, 0.99)), int(rng.integers(1, 10)))
         worst = 0.0
         for plant in plants:
-            for period in range(2, 121):
-                c = loop_generator(plant, period)
-                rows = _run_shapes(period)
-                slots, u_hat, tau, _ = _screen(c, rows, plant.dead_zone)
-                exact = np.einsum("nkj,nj->nk", loop_matrix(plant, period)[slots], shape_patterns(rows, period))
-                err = np.max(np.abs(u_hat - exact))
-                assert err <= tau, (plant.g0.kind, plant.delay, period)
-                worst = max(worst, err)
+            folds = folded(plant, range(2, 121))
+            prefix, offset, tau = _prefix_sums(folds)
+            all_rows = _sweep_rows(list(folds))
+            for period in folds:
+                assert tau[period] == folds[period][1]
+                rows = all_rows[all_rows[:, 0] == period]
+                K, patterns = loop_matrix(plant, period), shape_patterns(rows[:, 1:], period)
+                for slot_level in _SLOTS:
+                    slot = np.broadcast_to(slot_level(*rows[:, [0, 1, 2, 4]].T)[0], len(rows))
+                    u_hat = _entries(prefix, rows, offset[period], slot)
+                    err = np.max(np.abs(u_hat - np.einsum("nj,nj->n", K[slot], patterns)))
+                    assert err <= tau[period], (plant.g0.kind, plant.delay, period)
+                    worst = max(worst, err)
         assert worst > 0.0  # the screen's rounding is real, so the check is not vacuous
+
+    def test_the_screen_keeps_the_rows_no_slot_rejects(self):
+        # every slot of every row at once, as one pass over all six slots would screen them;
+        # on these plants each slot is the only one to reject some row, so none goes unchecked
+        taps = ImpulseResponse.from_samples([1.0, 0.96, -0.74, 0.97, 0.11, -0.53])
+        alone = np.zeros(len(_SLOTS), dtype=int)
+        for plant in (PlantSpec(taps, 4, 0.77), PlantSpec(taps, 2), geometric_plant(0.6, 3, 0.03)):
+            folds = folded(plant, range(2, 41))
+            prefix, offset, tau = _prefix_sums(folds)
+            rows = _sweep_rows(list(folds))
+            P = rows[:, 0]
+            rejects = np.array([
+                analyzer._margin(_entries(prefix, rows, offset[P], slot), level, plant.dead_zone) < -tau[P]
+                for slot, level in (slot_level(P, *rows[:, [1, 2, 4]].T) for slot_level in _SLOTS)
+            ])
+            assert np.array_equal(_screen(rows, folds, plant.dead_zone), np.flatnonzero(~rejects.any(axis=0)))
+            alone += np.sum(rejects & (rejects.sum(axis=0) == 1), axis=1)
+        assert alone.all(), alone
 
     def test_every_rejected_candidate_fails_verification(self):
         rejected = 0
         for ratio in (0.1, 0.6, 0.95):
             for twin in twin_plants(ratio, 3) + twin_plants(ratio, 5):
                 edge = dead_zone_threshold(twin)
+                folds = folded(twin, range(2, 25))
+                rows = _sweep_rows(list(folds))
                 for dz in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
                     dz = float(dz)
-                    for period in range(2, 25):
-                        rows = _run_shapes(period)
-                        kept = _screen(loop_generator(twin, period), rows, dz)[3]
-                        K = loop_matrix(twin, period)
-                        for row in rows[~kept]:
-                            rejected += 1
-                            assert _fixed_waveform(K, np.repeat([-1.0, 0.0, 1.0, 0.0], row), dz) is None
+                    kept = np.zeros(len(rows), dtype=bool)
+                    kept[_screen(rows, folds, dz)] = True
+                    for period, *runs in rows[~kept]:
+                        rejected += 1
+                        pattern = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
+                        assert _fixed_waveform(loop_matrix(twin, period), pattern, dz) is None
         assert rejected > 0
 
     @pytest.mark.parametrize("samples", [[1.0, np.nan], [1.0, np.inf], [1e307, -1e307, 1e307]])
     def test_non_finite_or_overflowing_responses_reject_nothing(self, samples):
         # nothing may be screened out, so verification meets the bad entries as before
         plant = PlantSpec(ImpulseResponse.from_samples(samples), 2)
+        folds = folded(plant, range(2, 7))
+        rows = _sweep_rows(list(folds))
+        assert len(_screen(rows, folds, 0.0)) == len(rows)
         for period in range(2, 7):
-            assert _screen(loop_generator(plant, period), _run_shapes(period), 0.0)[3].all()
             outcomes = []
             for analyze in (period_records, reference_period_records):
                 try:
@@ -583,13 +623,87 @@ class TestScreenThenVerify:
         # 78 805 candidates; the screen passes exactly the 3 fixed families on
         # to K @ s, so it cannot quietly fall back to verifying everything
         plant = geometric_plant(0.1, 9)
-        candidates = survivors = 0
-        for period in range(2, 201):
-            rows = _run_shapes(period)
-            candidates += len(rows)
-            survivors += int(np.sum(_screen(loop_generator(plant, period), rows, 0.0)[3]))
-        assert (candidates, survivors) == (78805, 3)
+        folds = folded(plant, range(2, 201))
+        rows = _sweep_rows(list(folds))
+        assert (len(rows), len(_screen(rows, folds, 0.0))) == (78805, 3)
         assert len(find_oscillations(plant, pmax=200).records) == 3
+
+    def test_a_long_sweep_screens_in_several_batches(self, monkeypatch):
+        # pmax 60 fills three batches and pmax 200 many more; a batch is flushed once it
+        # reaches its size, and the records are the same as one period at a time
+        plant = geometric_plant(0.1, 9)
+        batches = []
+        batch_records = analyzer._batch_records
+
+        def spy(plant, folds, prune):
+            batches.append(list(folds))
+            return batch_records(plant, folds, prune)
+
+        monkeypatch.setattr(analyzer, "_batch_records", spy)
+        for pmax in (60, 200):
+            batches.clear()
+            report = find_oscillations(plant, pmax=pmax)
+            assert [p for batch in batches for p in batch] == list(range(2, pmax + 1))
+            assert all(len(_sweep_rows(batch[:-1])) < analyzer._SCREEN_ROWS for batch in batches)
+            assert record_keys(report.records) == record_keys(
+                [r for period in range(2, pmax + 1) for r in period_records(plant, period)]
+            )
+        assert len(batches) > 10
+
+    def test_an_unbounded_period_is_verified_before_the_next_fold(self):
+        # period 2 holds a NaN, so its verification raises; folding period 3 overflows,
+        # which would warn first if period 2 waited in the batch
+        plant = PlantSpec(ImpulseResponse.from_samples([1e308, np.nan, 0.0, 1e308]), 1)
+        for sweep in (lambda: find_oscillations(plant, pmax=6), lambda: reference_sweep(plant, 6, False)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="vector entries must be finite"):
+                    sweep()
+            assert [str(w.message) for w in caught] == []
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        responses(),
+        st.integers(0, 8),
+        st.integers(2, 12) | st.integers(46, 50),  # 46 and up cross two batch flushes
+        st.sampled_from(["zero", "edge", "below", "above", "random"]),
+        st.floats(0.0, 2.0),
+    )
+    def test_sweep_equals_the_reference_period_by_period(self, g, delay, pmax, where, random_dead_zone):
+        edge = max(dead_zone_threshold(PlantSpec(g, delay)), 0.0) if delay else 0.0
+        dead_zone = {
+            "zero": 0.0,
+            "edge": edge,
+            "below": np.nextafter(edge, 0.0),
+            "above": np.nextafter(edge, np.inf),
+            "random": random_dead_zone,
+        }[where]
+        plant = PlantSpec(g, delay, float(dead_zone))
+        for prune in (False, True):
+            assert outcome(lambda: find_oscillations(plant, pmax, prune).records) == outcome(
+                lambda: reference_sweep(plant, pmax, prune)
+            ), prune
+
+
+def folded(plant, periods):
+    """Each period's generator and tau, as the sweep keeps them."""
+    return {period: _fold(plant, period, DEFAULTS.tol) for period in periods}
+
+
+def reference_sweep(plant, pmax, prune):
+    """The records of ``find_oscillations``, one period at a time from the reference; its bounds may raise."""
+    records = [r for period in range(2, pmax + 1) for r in reference_period_records(plant, period, prune)]
+    if plant.delay:
+        period_bounds(plant)
+    return sorted(records, key=lambda r: (r.period, r.pattern))
+
+
+def outcome(run):
+    """Record keys, or the message of the error the period bounds raise."""
+    try:
+        return record_keys(run())
+    except TruncationError as exc:
+        return str(exc)
 
 
 class TestOracleBlocks:
@@ -654,9 +768,9 @@ class TestFindOscillations:
         import relayosc.analyzer as analyzer_mod
 
         missed = (-1, -1, 0, 1, 1, 0)
-        full = analyzer_mod._run_shapes  # the row (2, 1, 2, 1) is the family missed
+        full = analyzer_mod._sweep_rows  # the row (2, 1, 2, 1) is the family missed
         monkeypatch.setattr(
-            analyzer_mod, "_run_shapes", lambda p: full(p)[~np.all(full(p) == (2, 1, 2, 1), axis=1)]
+            analyzer_mod, "_sweep_rows", lambda ps: full(ps)[~np.all(full(ps)[:, 1:] == (2, 1, 2, 1), axis=1)]
         )
         report = find_oscillations(geometric_plant(0.1, 3, 0.8), pmax=8, oracle_pmax=8)
         assert missed not in {r.pattern for r in report.records}

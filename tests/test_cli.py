@@ -291,6 +291,52 @@ def test_pmax_below_two_is_refused(argv, tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("verb, flags", [("check-plant", []), ("analyze", ["--pmax", "6"]), ("oracle", ["--pmax", "6"])])
+def test_nan_dead_zone_is_refused(verb, flags, capsys):
+    # a NaN dead zone relays every entry to 0, so no pattern would ever be fixed
+    assert cli.main([verb, "--geometric", "0.5", "--delay", "2", "--dead-zone", "nan", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dead_zone must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-plant", "--geometric", "0.1", "--pmax", "6"],
+        ["analyze", "--geometric", "0.1", "--delay", "3", "--steps", "50"],
+        ["sweep", "--geometric", "0.1", "--delay", "1:3", "--seed", "1,-1", "--out", "pts.csv"],
+        ["simulate", "--geometric", "0.1", "--delay", "3", "--seed", "1,-1", "--prune"],
+        ["oracle", "--geometric", "0.1", "--delay", "3", "--out", "x.csv"],
+    ],
+    ids=["check-plant", "analyze", "sweep", "simulate", "oracle"],
+)
+def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags, pmax, oracle_pmax",
+    [([], 22, 12), (["--pmax", "8"], 8, 8), (["--oracle-cap", "5"], 22, 5), (["--pmax", "30"], 30, 12)],
+)
+def test_analyze_computes_the_bounds_once(flags, pmax, oracle_pmax, tmp_path, monkeypatch, capsys):
+    calls = []
+    bounds = analyzer.period_bounds
+    monkeypatch.setattr(analyzer, "period_bounds", lambda *a: calls.append(a) or bounds(*a))
+    out = str(tmp_path / "report.json")
+    assert cli.main(["analyze", "--geometric", "0.1", "--delay", "9", "--out", out, *flags]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert (report["pmax"], report["oracle_pmax"]) == (pmax, oracle_pmax)
+    assert len(calls) == 1
+
+
 class TestOracleVerb:
     def test_two_by_two(self, capsys):
         rc = cli.main(["oracle", "--geometric", "0.1", "--delay", "1", "--pmax", "3"])
@@ -337,9 +383,9 @@ class TestOracleVerb:
         # a fixed single-peaked family the enumeration never emits is not
         # "in the analyzer", even though the family itself is fixed
         missed = (-1, -1, 0, 1, 1, 0)
-        full = analyzer._run_shapes  # the row (2, 1, 2, 1) is the family missed
+        full = analyzer._sweep_rows  # the row (2, 1, 2, 1) is the family missed
         monkeypatch.setattr(
-            analyzer, "_run_shapes", lambda p: full(p)[~np.all(full(p) == (2, 1, 2, 1), axis=1)]
+            analyzer, "_sweep_rows", lambda ps: full(ps)[~np.all(full(ps)[:, 1:] == (2, 1, 2, 1), axis=1)]
         )
         rc = cli.main(
             ["oracle", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "6"]
