@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -347,14 +348,6 @@ def _sweep_rows(periods) -> np.ndarray:
 # -- fixed-point verification ----------------------------------------------
 
 
-def _fixed_waveform(K: np.ndarray, pattern: np.ndarray, dead_zone: float) -> Optional[np.ndarray]:
-    """The waveform K @ pattern when its relay image is the pattern, else None."""
-    u = K @ pattern
-    if not np.array_equal(relay_vec(u, dead_zone), pattern):
-        return None
-    return u
-
-
 def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
     period = int(u.size)
     canon = canonical_rotation(pattern)
@@ -376,7 +369,7 @@ def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
 
 
 def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> Optional[OscillationRecord]:
-    """Check one relay pattern as a fixed point of the loop.
+    """Check one relay pattern as a fixed point of the loop, through :func:`_judge`.
 
     Returns a record when the relay image of the loop response equals
     the pattern exactly (strict inequalities, no tolerance: an entry on
@@ -388,28 +381,57 @@ def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> 
         raise ValueError("pattern must have at least two entries")
     if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
         raise ValueError("pattern entries must lie in {-1, 0, +1}")
-    u = _fixed_waveform(loop_matrix(plant, s.size, tol), s, plant.dead_zone)
+    K = loop_matrix(plant, s.size, tol)
+    u = _judge(K, s, plant.dead_zone, _rounding_bound(s.size, float(np.abs(K).sum(axis=1).max())))
     if u is None:
         return None
     return _record_from(u, s)
 
 
 def _rounding_bound(period: int, sigma: float) -> float:
-    """tau = 18 P u sigma (u = 2^-53), the rounding allowance of both screens; inf when 8 sigma is not finite.
+    """tau = 18 P u sigma (u = 2^-53), the rounding allowance of the judge and of both screens.
 
     Entry i of K @ s sums P exact terms (s_j in {-1, 0, 1}) of absolute sum at most sigma, in an
     order BLAS picks, so the product is off by at most gamma_{P-1} sigma (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 3.1, 4.2). Each screen derives why tau also covers
-    its own estimate of the entry. With tau inf nothing is rejected.
+    its own estimate of the entry. A kernel whose 8 sigma is not finite is refused; below that, no
+    sum that the judge or a screen forms overflows.
     """
-    return 18 * period * 2.0**-53 * sigma if np.isfinite(8 * sigma) else np.inf
+    if not np.isfinite(8 * sigma):
+        raise ValueError(f"loop kernel too large to decide at period {period}: its absolute sum is {sigma:g}")
+    return 18 * period * 2.0**-53 * sigma
 
 
 def _margin(u, level, dead_zone: float):
     """How far u clears the relay interval of ``level``: level u - dead_zone for +-1, dead_zone - |u| for 0."""
     if np.ndim(level) == 0:  # one level for every entry
         return dead_zone - np.abs(u) if level == 0 else level * u - dead_zone
-    return np.where(level == 0, dead_zone - np.abs(u), level * u - dead_zone)
+    return np.where(level, level * u - dead_zone, dead_zone - np.abs(u))
+
+
+def _exact_sums(K: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The correctly rounded sums of K[i, j] s_j by ``math.fsum``; each product is exact, s_j being -1, 0 or 1."""
+    return np.array([math.fsum(row) for row in (K * s).tolist()])
+
+
+def _judge(K: np.ndarray, s: np.ndarray, dead_zone: float, tau: float) -> Optional[np.ndarray]:
+    """The waveform of relay pattern s when s is a fixed point of K, else None: every relay decision's judge.
+
+    s is fixed when the relay image of its exact sums (:func:`_exact_sums`) is s: a function of the
+    float kernel alone, whatever the summation order or batch size. K @ s is off those sums by less
+    than tau (:func:`_rounding_bound`), with room for their own rounding. Rounding is monotone and
+    -tau a float, so a smallest rounded margin (:func:`_margin`) below -tau rejects s, and one above
+    tau accepts it with the waveform K @ s. Any other row is decided by its exact sums, then its
+    waveform. Negated rows have negated products, margins and sums, so -s gets the verdict of s.
+    """
+    u = K @ s
+    smallest = _margin(u, s, dead_zone).min()
+    if smallest > tau:
+        return u
+    if smallest < -tau:
+        return None
+    u = _exact_sums(K, s)
+    return u if np.array_equal(relay_vec(u, dead_zone), s) else None
 
 
 #: (waveform entry, relay level) of each screened slot of the rows (P, b, z1, z2), most selective
@@ -431,8 +453,7 @@ def _prefix_sums(folds: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     size = max(folds) + 1
     offset, tau = np.zeros(size, dtype=np.int64), np.zeros(size)
-    with np.errstate(all="ignore"):  # non-finite entries leave tau inf and reject nothing
-        prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in folds.values()]
+    prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in folds.values()]
     periods = np.fromiter(folds, dtype=np.int64, count=len(folds))
     offset[periods] = np.cumsum(2 * periods + 1) - (2 * periods + 1)
     tau[periods] = [t for _, t in folds.values()]
@@ -456,59 +477,56 @@ def _screen(rows: np.ndarray, folds: dict, dead_zone: float) -> np.ndarray:
     by gamma_{P-1} sigma; four prefix sums of <= 2P terms by 8 gamma_{2P-1} sigma; the three
     subtractions over disjoint runs by 2 u sigma. tau = 18 P u sigma > (17P - 7) u sigma covers the
     second order and its own rounding. Rounding is monotone and -tau a float: a rounded margin
-    below -tau is a true one. If 8 sigma overflows or c is not finite, nothing is rejected.
+    below -tau is a true one, and the judge rejects the row too (:func:`_judge`).
     The slots are screened one at a time, each on the rows no earlier slot rejected: every entry is
     the same elementwise expression as over all six slots at once, so it has the same bits.
     """
     prefix, offset, tau = _prefix_sums(folds)
     keep = np.arange(len(rows))
-    with np.errstate(all="ignore"):
-        for slot_level in _SLOTS:
-            r = rows[keep]
-            P = r[:, 0]
-            slot, level = slot_level(P, r[:, 1], r[:, 2], r[:, 4])
-            margin = _margin(_entries(prefix, r, offset[P], slot), level, dead_zone)
-            keep = keep[~(margin < -tau[P])]
+    for slot_level in _SLOTS:
+        r = rows[keep]
+        P = r[:, 0]
+        slot, level = slot_level(P, r[:, 1], r[:, 2], r[:, 4])
+        margin = _margin(_entries(prefix, r, offset[P], slot), level, dead_zone)
+        keep = keep[margin >= -tau[P]]
     return keep
 
 
 def _batch_records(plant: PlantSpec, folds: dict, prune_sign_symmetric: bool) -> list[OscillationRecord]:
-    """Screen every candidate of the folded periods at once, then verify the survivors through ``K @ s``."""
+    """Screen every candidate of the folded periods at once, then judge the survivors (:func:`_judge`)."""
     rows = _sweep_rows(list(folds))
     survivors = rows[_screen(rows, folds, plant.dead_zone)].tolist()
     out = []
     for period, group in itertools.groupby(survivors, key=lambda row: row[0]):
-        K = -circulant(folds[period][0])  # built only for a period with survivors
+        c, tau = folds[period]
+        K = -circulant(c)  # built only for a period with survivors
         for _, *runs in group:
             arr = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
             if prune_sign_symmetric:
                 pos, neg, zero = sign_counts(arr)
                 if zero == 0 and pos != neg:
                     continue
-            u = _fixed_waveform(K, arr, plant.dead_zone)
+            u = _judge(K, arr, plant.dead_zone, tau)
             if u is not None:
                 out.append(_record_from(u, arr))
     return out
 
 
 def _fold(plant: PlantSpec, period: int, tol: float) -> tuple[np.ndarray, float]:
-    """(the loop generator c at one period, the screen's tau for it)."""
+    """(the loop generator c at one period, the tau of the screen and the judge for it)."""
     c = loop_generator(plant, period, tol)
     return c, _rounding_bound(period, float(np.abs(c).sum()))
 
 
 def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool, tol: float) -> list[OscillationRecord]:
-    """The analyzer over ``periods`` in order: fold each, screen in batches, verify the survivors."""
+    """The analyzer over ``periods`` in order: fold each, screen in batches, judge the survivors."""
     records: list[OscillationRecord] = []
     folds: dict = {}
     rows = 0
     for period in periods:
         folds[period] = _fold(plant, period, tol)
         rows += 4 * period
-        # with tau finite, K @ s is finite and verification silent; a period with tau inf is
-        # verified before the next fold, so that what it warns or raises comes where it would
-        # in a sweep of one period at a time
-        if rows >= _SCREEN_ROWS or not np.isfinite(folds[period][1]) or period == periods[-1]:
+        if rows >= _SCREEN_ROWS or period == periods[-1]:
             records.extend(_batch_records(plant, folds, prune_sign_symmetric))
             folds, rows = {}, 0
     return records
@@ -517,8 +535,16 @@ def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool, tol: float) ->
 def period_records(
     plant: PlantSpec, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol
 ) -> list[OscillationRecord]:
-    """The analyzer at one period: screen every candidate, verify the survivors through ``K @ s``."""
+    """The analyzer at one period: screen every candidate, judge the survivors (:func:`_judge`)."""
     return _sweep(plant, [period], prune_sign_symmetric, tol)
+
+
+def _base_waveform(plant: PlantSpec, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(the half-and-half pattern s at period twice the delay, the exact sums u of its loop response)."""
+    if plant.delay < 1:
+        raise ValueError("the base oscillation needs a positive delay")
+    s = np.repeat([1.0, -1.0], plant.delay)
+    return s, _exact_sums(loop_matrix(plant, s.size, tol), s)
 
 
 def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool:
@@ -526,14 +552,11 @@ def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool
 
     Decided by a single scalar: the loop response to the half-and-half
     pattern at slot ``delay``, negated and compared against the dead
-    zone. The full fixed-point verification of the same response must
-    agree; a mismatch would falsify the scalar criterion and raises
-    InternalCheckError.
+    zone. The judge's verdict, the relay image of the same exact sums u,
+    must agree (u[i + delay] = -u[i] holds exactly); a mismatch would
+    falsify the scalar criterion and raises InternalCheckError.
     """
-    if plant.delay < 1:
-        raise ValueError("the base oscillation needs a positive delay")
-    s = np.repeat([1.0, -1.0], plant.delay)  # the half-and-half pattern
-    u = loop_matrix(plant, s.size, tol) @ s
+    s, u = _base_waveform(plant, tol)
     scalar = -float(u[plant.delay])
     exists = scalar > plant.dead_zone
     verified = np.array_equal(relay_vec(u, plant.dead_zone), s)
@@ -550,13 +573,11 @@ def dead_zone_threshold(plant: PlantSpec, tol: float = DEFAULTS.tol) -> float:
 
     Equals the delay-th largest entry of minus the loop response to the
     half-and-half pattern, which is also the smallest positive entry of
-    the base-period waveform.
+    the base-period waveform. In exact sums, as the existence test reads
+    them: where the family exists at dead zone 0, it exists exactly below.
     """
-    if plant.delay < 1:
-        raise ValueError("the threshold needs a positive delay")
-    s = np.repeat([1.0, -1.0], plant.delay)  # the half-and-half pattern
-    prod = -(loop_matrix(plant, s.size, tol) @ s)
-    return float(np.sort(prod)[::-1][plant.delay - 1])
+    _, u = _base_waveform(plant, tol)
+    return float(np.sort(-u)[::-1][plant.delay - 1])
 
 
 def subharmonic_periods(delay: int) -> list[int]:
@@ -617,25 +638,14 @@ def _digit_sums(weights: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _block_hits(kernel: np.ndarray, low: int, digits: np.ndarray, dead_zone: float) -> list[tuple[int, ...]]:
-    """The nonzero rows of one block that the block product fixes: ``relay_vec(rows @ kernel)`` equals the row."""
-    pats = np.empty((3**low, kernel.shape[0]), dtype=np.int8)
-    pats[:, :low] = _digit_table(low)
-    pats[:, low:] = digits
-    # the float rows are freed as soon as their product exists, which keeps the peak low
-    hits = np.all(relay_vec(pats.astype(float) @ kernel, dead_zone) == pats, axis=1)
-    return [p for p in map(tuple, pats[hits].tolist()) if any(p)]
-
-
-def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float):
-    """(patterns the screen proves fixed, blocks it leaves to the block product); see the oracle."""
+def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float) -> np.ndarray:
+    """The rows of the first half of the blocks, the middle one halved, that no column rejects; see the oracle."""
     period = kernel.shape[0]
     table = _digit_table(low)
     low_sums, high_sums = _digit_sums(kernel[:low]), _digit_sums(kernel[low:])
     blocks = _digit_table(period - low)
     middle, zero_row = (len(blocks) - 1) // 2, (3**low - 1) // 2
-    found: list[tuple[int, ...]] = []
-    marked = []
+    survivors = [np.empty((0, period), dtype=np.int8)]
     for block in range(middle + 1):  # of n blocks, block n - 1 - b holds the negated rows of b
         v, digits = high_sums[:, block], blocks[block]
         # high columns first: their level is the block's digit for every row
@@ -646,18 +656,10 @@ def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float):
                 break
             level = digits[i - low] if i >= low else table[keep, i]
             keep = keep[_margin(low_sums[i, keep] + v[i], level, dead_zone) >= -tau]
-        if block == middle:
-            keep = keep[keep != zero_row]  # the all-zero row: 0 in any order, and never reported
-        if not keep.size:
-            continue
-        pats = np.hstack([table[keep], np.broadcast_to(digits, (keep.size, period - low))])
-        if not np.all(_margin(low_sums[:, keep] + v[:, None], pats.T, dead_zone) > tau):
-            marked.extend({block, len(blocks) - 1 - block})
-            continue
-        found.extend(map(tuple, pats.tolist()))
-        if block < middle:
-            found.extend(map(tuple, (-pats).tolist()))
-    return found, sorted(marked)
+        if block == middle:  # row c negated is row 3^low - 1 - c; the all-zero row is never reported
+            keep = keep[keep < zero_row]
+        survivors.append(np.hstack([table[keep], np.broadcast_to(digits, (keep.size, period - low))]))
+    return np.vstack(survivors)
 
 
 def brute_force_fixed_points(
@@ -675,46 +677,32 @@ def brute_force_fixed_points(
     appear individually.
 
     Pattern c has the base-3 digits of c, lowest first, minus one. One row
-    block holds the 3^10 low digit rows; only its high columns change. The
-    judge is the block product: a row is fixed when the relay image of
-    ``rows @ kernel`` over its whole block equals it.
+    block holds the 3^10 low digit rows; only its high columns change.
 
-    Screen, then verify. Entry i of s @ kernel sums P exact terms of
-    absolute sum at most sigma, the largest column sum of |kernel|. The
-    screen adds them digit by digit, the low and the high digits' sums
-    apart, once per period, then one add per row: a summation tree off by
-    at most gamma_{P-1} sigma. The block product is off by as much in any
-    order, so the two differ by less than tau = 18 P u sigma
+    Screen, then judge. Entry i of K @ s sums P exact terms of absolute
+    sum at most sigma, the largest row sum of |K|. The screen adds them
+    digit by digit, the low and the high digits' sums apart, once per
+    period, then one add per row: a summation tree off the exact sum by at
+    most gamma_{P-1} sigma, within tau = 18 P u sigma
     (:func:`_rounding_bound`). Column by column, high ones first, a row is
-    rejected when its rounded margin to its own level is below -tau. Then
-    so is the exact margin of the screened value (rounding is monotone and
-    -tau a float), and the product misses the level too. A survivor whose
-    every rounded margin exceeds tau meets
-    its levels in any summation order and is reported. Any other survivor
-    sends its block to the block product, since BLAS may round a row
-    differently among other rows. The all-zero row is 0 in every order and
-    never reported, so it sends no block. Negating a row negates each of
-    its sums exactly (rounding is symmetric), and the negated rows of
-    block b of n fill block n - 1 - b: the screen decides the first half
-    of the blocks and mirrors its decisions. If 8 sigma overflows or the
-    kernel is not finite, every block goes to the product, which meets
-    the bad entries as it always did.
+    rejected when its rounded margin to its own level is below -tau, as
+    the judge would reject it. Every survivor goes to :func:`_judge`, so
+    the result does not depend on the block size. Negating a row negates
+    each of its sums exactly, and the negated rows of block b of n fill
+    block n - 1 - b, those of the middle block the middle block: the
+    screen covers the first half of the rows, the all-zero row excluded,
+    and the judge's verdict on a survivor holds for its negation.
     """
     if period < 1:
         raise ValueError("period must be positive")
     if period > cap:
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
-    kernel = loop_matrix(plant, period, tol).T  # row s -> row u through s @ kernel
-    low = min(period, _ORACLE_CHUNK)
-    tau = _rounding_bound(period, float(np.abs(kernel).sum(axis=0).max()))
-    if np.isfinite(tau):
-        # in its own call: the screen's sums are freed before any block product
-        found, marked = _oracle_screen(kernel, low, plant.dead_zone, tau)
-    else:
-        found, marked = [], range(3 ** (period - low))
-    blocks = _digit_table(period - low)
-    for block in marked:
-        found.extend(_block_hits(kernel, low, blocks[block], plant.dead_zone))
+    K = loop_matrix(plant, period, tol)
+    tau = _rounding_bound(period, float(np.abs(K).sum(axis=1).max()))
+    found = set()
+    for row in _oracle_screen(K.T, min(period, _ORACLE_CHUNK), plant.dead_zone, tau).tolist():
+        if _judge(K, np.array(row, dtype=float), plant.dead_zone, tau) is not None:
+            found.update((tuple(row), tuple(-x for x in row)))
     return sorted(found)
 
 

@@ -330,8 +330,13 @@ _VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input: exit 1 through main, not argparse's exit 2
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relayosc",
         description="Self-oscillation analysis for discrete-time relay feedback loops",
     )
@@ -347,8 +352,8 @@ def main(argv=None) -> int:
         verb = sub.add_parser(name, parents=[source])
         for flag in flags:
             verb.add_argument("--" + flag, **_FLAGS[flag])
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "pmax", None) is not None and args.pmax < 2:  # as find_oscillations refuses it
             raise ValueError("pmax must be at least 2")
         return _VERBS[args.command][0](args)

@@ -108,13 +108,15 @@ class ImpulseResponse:
             gain = float(params.get("gain", 1.0))
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
-            if gain <= 0.0:
-                raise ValueError(f"geometric gain must be positive, got {gain}")
+            if not 0.0 < gain < np.inf:
+                raise ValueError(f"geometric gain must be positive and finite, got {gain}")
             self.ratio = ratio
             self.gain = gain
         elif kind == RATIONAL:
             num = np.atleast_1d(np.asarray(params["num"], dtype=float))
             den = np.atleast_1d(np.asarray(params["den"], dtype=float))
+            if not (np.isfinite(num).all() and np.isfinite(den).all()):
+                raise ValueError("rational coefficients must be finite")
             num = np.trim_zeros(num, "f")
             den = np.trim_zeros(den, "f")
             if den.size == 0:
@@ -138,6 +140,8 @@ class ImpulseResponse:
             values = np.atleast_1d(np.asarray(params["values"], dtype=float))
             if values.ndim != 1:
                 raise ValueError("samples must be a 1-D list")
+            if not np.isfinite(values).all():
+                raise ValueError("response samples must be finite")
             self.values = values
             # suffix sums of |g| give the exact tail
             self._suffix = np.concatenate([np.cumsum(np.abs(values)[::-1])[::-1], [0.0]])

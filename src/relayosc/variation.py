@@ -159,7 +159,7 @@ def relay(x: float, dead_zone: float, tol: float = 0.0) -> int:
     exactly on the dead-zone boundary map to 0. ``tol`` widens the dead
     zone for callers that quantize computed (rounded) signals.
     """
-    if dead_zone < 0:
+    if not dead_zone >= 0:  # NaN too: it would relay every entry to 0
         raise ValueError("dead_zone must be nonnegative")
     edge = dead_zone + tol
     if x > edge:
@@ -171,7 +171,7 @@ def relay(x: float, dead_zone: float, tol: float = 0.0) -> int:
 
 def relay_vec(v, dead_zone: float, tol: float = 0.0) -> np.ndarray:
     """Entrywise relay over an array of any shape; int8 entries in {-1, 0, +1}."""
-    if dead_zone < 0:
+    if not dead_zone >= 0:  # NaN too: it would relay every entry to 0
         raise ValueError("dead_zone must be nonnegative")
     x = np.asarray(v, dtype=float)
     if x.ndim == 0 or x.size < 1:

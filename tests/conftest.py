@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from relayosc.analyzer import _fixed_waveform, _record_from, enumerate_unimodal_patterns
+from relayosc.analyzer import _record_from, enumerate_unimodal_patterns
 from relayosc.config import DEFAULTS
 from relayosc.lti import SAMPLES, ImpulseResponse, PlantSpec, loop_matrix
 from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
@@ -146,14 +146,41 @@ def reference_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def fraction_sums(K, s) -> np.ndarray:
+    """K @ s entry by entry in ``Fraction`` arithmetic, each sum rounded to float once at the end."""
+    return np.array([float(sum(Fraction(k) * int(x) for k, x in zip(row, s))) for row in np.asarray(K).tolist()])
+
+
+def smallest_margins(u, s, dead_zone):
+    """Per column: how far the float products u clear the relay levels s at the closest entry.
+
+    The margin of an entry is s u - dead_zone at a level of +-1 and
+    dead_zone - |u| at 0. A float product of P exact terms is off its
+    exact sum by at most gamma_{P-1} sigma, well inside :func:`edge_band`:
+    a pattern whose smallest margin exceeds the band is fixed, one whose
+    smallest margin is below minus the band is not, and the others need
+    the exact sum.
+    """
+    return np.where(s == 0, dead_zone - np.abs(u), s * u - dead_zone).min(axis=0)
+
+
+def edge_band(K) -> float:
+    """64 P u sigma, sigma the largest absolute row sum of K: a looser band than the library's."""
+    return 64 * K.shape[0] * 2.0**-53 * float(np.abs(K).sum(axis=1).max())
+
+
 def reference_period_records(plant, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol):
     """The analyzer at one period, candidate by candidate: every pattern through ``K @ s``.
 
-    The library screens the candidates through prefix sums and verifies
-    only the survivors; its records, waveform bits included, must equal
-    these.
+    A candidate within :func:`edge_band` of an edge (:func:`smallest_margins`)
+    is decided again from its :func:`fraction_sums`, which are then its
+    waveform. The library screens the candidates through prefix sums and
+    judges only the survivors; its records, waveform bits included, must
+    equal these wherever no margin falls between the library's band and
+    this looser one.
     """
     K = loop_matrix(plant, period, tol)
+    band = edge_band(K)
     out = []
     for pattern in enumerate_unimodal_patterns(period):
         arr = np.asarray(pattern, dtype=float)
@@ -161,8 +188,14 @@ def reference_period_records(plant, period: int, prune_sign_symmetric: bool = Fa
             pos, neg, zero = sign_counts(arr)
             if zero == 0 and pos != neg:
                 continue
-        u = _fixed_waveform(K, arr, plant.dead_zone)
-        if u is not None:
+        u = K @ arr
+        low = smallest_margins(u, arr, plant.dead_zone)
+        if abs(low) <= band:  # near an edge: the exact sum decides, and is the waveform
+            u = fraction_sums(K, arr)
+            fixed = np.array_equal(relay_vec(u, plant.dead_zone), arr)
+        else:
+            fixed = low > band
+        if fixed:
             out.append(_record_from(u, arr))
     return out
 
@@ -189,24 +222,31 @@ def reference_brute_force_fixed_points(
     """The exhaustive oracle by integer decoding: every code's digits by // and %.
 
     Each chunk of 3^10 codes is decoded with P floor divisions and P
-    modulos per row, cast to float64, pushed through the loop matrix and
-    compared with its relay image as int8 rows. The library builds the
-    same rows without decoding; its products and hits must equal these.
+    modulos per row, cast to float64 and pushed through the loop matrix.
+    Each row is judged by its :func:`smallest_margins`, and a row within
+    :func:`edge_band` of an edge is decided again from its
+    :func:`fraction_sums`. The library builds the same rows without
+    decoding and decides each by its exact sum; its hits must equal these.
     """
     chunk = 3**10
     if period < 1:
         raise ValueError("period must be positive")
     if period > cap:
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
-    kernel = loop_matrix(plant, period, tol).T  # row s -> row u through s @ kernel
+    K = loop_matrix(plant, period, tol)
+    band = edge_band(K)
     powers = 3 ** np.arange(period, dtype=np.int64)
     total = 3**period
     found: list[tuple[int, ...]] = []
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = ((codes[:, None] // powers[None, :]) % 3 - 1).astype(np.int8)
-        image = relay_vec(digits.astype(np.float64) @ kernel, plant.dead_zone)
-        hits = np.all(image == digits, axis=1) & np.any(digits != 0, axis=1)
+        columns = digits.T.astype(np.float64)
+        low = smallest_margins(K @ columns, columns, plant.dead_zone)
+        hits = low > band
+        for i in np.flatnonzero(np.abs(low) <= band):
+            hits[i] = np.array_equal(relay_vec(fraction_sums(K, digits[i]), plant.dead_zone), digits[i])
+        hits &= np.any(digits != 0, axis=1)
         found.extend(tuple(int(x) for x in row) for row in digits[hits])
     return sorted(found)
 

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from relayosc.analyzer import (
     _SLOTS,
     _digit_table,
     _entries,
-    _fixed_waveform,
     _fold,
     _prefix_sums,
     _screen,
@@ -34,10 +32,11 @@ from relayosc.analyzer import (
 )
 from relayosc.config import DEFAULTS
 from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_matrix
-from relayosc.variation import max_cyclic_sign_changes, sign_counts
+from relayosc.variation import max_cyclic_sign_changes, relay_vec, sign_counts
 
 from conftest import (
     exact_geometric_fixed_point,
+    fraction_sums,
     reference_brute_force_fixed_points,
     reference_period_records,
     reference_unimodal_patterns,
@@ -419,7 +418,7 @@ class TestOracleAgainstReference:
         st.floats(0.0, 2.0),
     )
     def test_equals_the_reference(self, g, delay, period, where, random_dead_zone):
-        # the edge is the threshold where it exists; rows at it go to the block product
+        # the edge is the threshold where it exists; rows at it go to the exact sums
         edge = max(dead_zone_threshold(PlantSpec(g, delay)), 0.0) if delay else 0.0
         dead_zone = {
             "zero": 0.0,
@@ -431,37 +430,24 @@ class TestOracleAgainstReference:
         plant = PlantSpec(g, delay, float(dead_zone))
         assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(plant, period)
 
-    @pytest.mark.parametrize(
-        "samples, dead_zone",
-        [([1.0, np.nan], 0.0), ([1.0, np.inf], 0.0), ([1e307, -1e307, 1e307], 0.0), ([1.0, 0.5], np.inf),
-         ([1.0, 0.5], np.nan)],
-    )
-    def test_non_finite_or_overflowing_kernels_match_the_reference(self, samples, dead_zone):
-        # the same patterns, or the same error, and the same warnings as the block product everywhere
+    @pytest.mark.parametrize("dead_zone", [np.inf, np.nan])
+    def test_non_finite_or_overflowing_kernels_match_the_reference(self, dead_zone):
+        # the same patterns and no warnings at an infinite dead zone; a NaN one is refused
         if np.isnan(dead_zone):  # refused: its relay would map every entry to 0
             with pytest.raises(ValueError, match="dead_zone must be nonnegative"):
-                PlantSpec(ImpulseResponse.from_samples(samples), 2, dead_zone)
+                PlantSpec(ImpulseResponse.from_samples([1.0, 0.5]), 2, dead_zone)
             return
-        plant = PlantSpec(ImpulseResponse.from_samples(samples), 2, dead_zone)
+        plant = PlantSpec(ImpulseResponse.from_samples([1.0, 0.5]), 2, dead_zone)
         for period in range(1, 13):
-            outcomes = []
-            for oracle in (brute_force_fixed_points, reference_brute_force_fixed_points):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        outcome = oracle(plant, period)
-                    except ValueError as exc:
-                        outcome = str(exc)
-                outcomes.append((outcome, [str(w.message) for w in caught]))
-            assert outcomes[0] == outcomes[1], period
+            assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(plant, period) == []
 
     @pytest.mark.parametrize("a0, a1", [(2.0, 2.0), (5.0, -3.0)], ids=["zero-slot", "plus-slot"])
-    def test_rows_that_round_apart_go_to_the_block_product(self, a0, a1, monkeypatch):
+    def test_rows_that_round_apart_are_decided_by_the_exact_sum(self, a0, a1, monkeypatch):
         # u_0 = a0 s_0 + a1 s_1 + 2^-52 (s_10 + s_11) at dead zone 2, with s_1 = s_10 forced
         # and s_2..s_9 = 0. In the block s_10 = s_11 = 1, one row puts u_0 at 2: summed left
         # to right it is 2, an edge, while the screen adds the high digits first and gets
-        # 2 + 2^-51. Every other row of that block clears its edges, so only the rounding
-        # allowance sends the block to the product, which decides the row
+        # 2 + 2^-51. The row survives the screen within the rounding allowance, and its
+        # exact sum decides it
         assert 2.0 + 2.0**-52 + 2.0**-52 != 2.0 + (2.0**-52 + 2.0**-52)
         K = np.zeros((12, 12))
         K[0, :2], K[0, 10:] = (a0, a1), 2.0**-52
@@ -474,7 +460,7 @@ class TestOracleAgainstReference:
         assert found
 
     def test_fourteen_digits_in_a_fraction_of_a_second(self):
-        # 81 blocks of 3^10 rows; the block product alone takes about 0.4 s
+        # 81 blocks of 3^10 rows; a matrix product over every block alone takes about 0.4 s
         plant = geometric_plant(0.1, 9)
         with time_limit(0.25):
             found = brute_force_fixed_points(plant, 14)
@@ -600,24 +586,28 @@ class TestScreenThenVerify:
                     for period, *runs in rows[~kept]:
                         rejected += 1
                         pattern = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
-                        assert _fixed_waveform(loop_matrix(twin, period), pattern, dz) is None
+                        assert verify_fixed_point(PlantSpec(twin.g0, twin.delay, dz), pattern) is None
         assert rejected > 0
 
-    @pytest.mark.parametrize("samples", [[1.0, np.nan], [1.0, np.inf], [1e307, -1e307, 1e307]])
-    def test_non_finite_or_overflowing_responses_reject_nothing(self, samples):
-        # nothing may be screened out, so verification meets the bad entries as before
-        plant = PlantSpec(ImpulseResponse.from_samples(samples), 2)
-        folds = folded(plant, range(2, 7))
-        rows = _sweep_rows(list(folds))
-        assert len(_screen(rows, folds, 0.0)) == len(rows)
-        for period in range(2, 7):
-            outcomes = []
-            for analyze in (period_records, reference_period_records):
-                try:
-                    outcomes.append(record_keys(analyze(plant, period)))
-                except ValueError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], period
+    @pytest.mark.parametrize("samples", [[1.0, np.nan], [1.0, np.inf], [1e308, np.nan, 0.0, 1e308]])
+    def test_non_finite_responses_are_refused(self, samples):
+        # refused where the response is built, before any fold, screen or judge meets the entries
+        with pytest.raises(ValueError, match="samples must be finite"):
+            ImpulseResponse.from_samples(samples)
+
+    def test_an_overflowing_period_is_refused_at_its_fold(self):
+        # 8 sigma overflows from period 2 on, where a screen's sums could overflow: the sweep, the
+        # oracle and verification refuse that period, warning nothing; period 1 is still decided
+        plant = PlantSpec(ImpulseResponse.from_samples([1e307, -1e307, 1e307]), 2)
+        assert brute_force_fixed_points(plant, 1) == reference_brute_force_fixed_points(plant, 1)
+        for decide in (
+            lambda: period_records(plant, 2),
+            lambda: find_oscillations(plant, pmax=6),
+            lambda: verify_fixed_point(plant, [1, -1]),
+            lambda: brute_force_fixed_points(plant, 2),
+        ):
+            with pytest.raises(ValueError, match="loop kernel too large to decide at period 2"):
+                decide()
 
     def test_survivor_count_at_pmax_200(self):
         # 78 805 candidates; the screen passes exactly the 3 fixed families on
@@ -649,17 +639,6 @@ class TestScreenThenVerify:
                 [r for period in range(2, pmax + 1) for r in period_records(plant, period)]
             )
         assert len(batches) > 10
-
-    def test_an_unbounded_period_is_verified_before_the_next_fold(self):
-        # period 2 holds a NaN, so its verification raises; folding period 3 overflows,
-        # which would warn first if period 2 waited in the batch
-        plant = PlantSpec(ImpulseResponse.from_samples([1e308, np.nan, 0.0, 1e308]), 1)
-        for sweep in (lambda: find_oscillations(plant, pmax=6), lambda: reference_sweep(plant, 6, False)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(ValueError, match="vector entries must be finite"):
-                    sweep()
-            assert [str(w.message) for w in caught] == []
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -734,6 +713,87 @@ class TestOracleBlocks:
         found = brute_force_fixed_points(geometric_plant(0.1, 1), period)
         assert len(found) == len(set(found)) == 3**period - 1
         assert (0,) * period not in found
+
+
+def threshold_probe():
+    """(plant at dead zone 0, its threshold) for 400 geometric plants: ratio from U(0.02, 0.98), delays 1..11."""
+    rng = np.random.default_rng(1)
+    out = []
+    for _ in range(400):
+        base = geometric_plant(float(rng.uniform(0.02, 0.98)), int(rng.integers(1, 12)))
+        out.append((base, dead_zone_threshold(base)))
+    return out
+
+
+def edge_zones(threshold):
+    """The threshold and one ulp to each side, those that are not negative."""
+    return [float(dz) for dz in (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)) if dz >= 0]
+
+
+def fraction_fixed(plant, pattern):
+    """Whether the relay image of the Fraction sums of the float kernel, each rounded once, is the pattern."""
+    s = np.asarray(pattern, dtype=float)
+    return np.array_equal(relay_vec(fraction_sums(loop_matrix(plant, s.size), s), plant.dead_zone), s)
+
+
+def batch_size_example():
+    """1/(1 - 0.5155147400105061 z^-1) at delay 5, a few ulps below its threshold."""
+    g = ImpulseResponse.from_rational([1.0, 0.0], [1.0, -0.5155147400105061])
+    return PlantSpec.from_response(g, 5, 0.010712959694935797)
+
+
+class TestOneJudge:
+    def test_the_threshold_probe_never_fails_the_cross_check(self):
+        # the scalar and the verdict read one vector of exact sums, so they agree at the edge, and
+        # where the family exists at dead zone 0 it exists exactly below the threshold
+        for base, threshold in threshold_probe():
+            exists_at_zero = exists_base_oscillation(base)
+            for dz in edge_zones(threshold):
+                exists = exists_base_oscillation(PlantSpec(base.g0, base.delay, dz))
+                if exists_at_zero:
+                    assert exists == (dz < threshold), (base.g0.ratio, base.delay, dz)
+
+    def test_the_oracle_equals_verification_on_the_base_family_at_the_edge(self):
+        checked = 0
+        for base, threshold in threshold_probe():
+            if base.delay > 5:
+                continue
+            pattern = (1,) * base.delay + (-1,) * base.delay
+            for dz in edge_zones(threshold):
+                plant = PlantSpec(base.g0, base.delay, dz)
+                fixed = fraction_fixed(plant, pattern)
+                assert (pattern in brute_force_fixed_points(plant, 2 * base.delay)) == fixed
+                assert (verify_fixed_point(plant, pattern) is not None) == fixed
+                checked += fixed
+        assert checked > 100
+
+    def test_the_oracle_does_not_depend_on_its_block_size(self, monkeypatch):
+        for ratio, delay in ((0.6185501653160004, 2), (0.3, 1), (0.45, 4), (0.7, 2), (0.5992479820325187, 2)):
+            for twin in twin_plants(ratio, delay):
+                for dz in edge_zones(dead_zone_threshold(twin)) + [0.0]:
+                    plant = PlantSpec(twin.g0, twin.delay, dz)
+                    for period in (2 * delay, 7):
+                        found = []
+                        for chunk in (3, 10):
+                            monkeypatch.setattr(analyzer, "_ORACLE_CHUNK", chunk)
+                            found.append(brute_force_fixed_points(plant, period))
+                        assert found[0] == found[1], (twin.g0.kind, ratio, delay, dz, period)
+        plant = batch_size_example()
+        found = []
+        for chunk in (3, 10):
+            monkeypatch.setattr(analyzer, "_ORACLE_CHUNK", chunk)
+            found.append(brute_force_fixed_points(plant, 10))
+        assert found[0] == found[1]
+
+    def test_the_batch_size_no_longer_decides(self):
+        # entry 6 lies 5e-17 inside the dead zone: a product over 3^10 rows and one over this row
+        # alone round it to opposite sides of the edge, and its exact sum settles it
+        plant = batch_size_example()
+        pattern = (-1,) + (1,) * 5 + (-1,) * 4
+        assert fraction_fixed(plant, pattern)
+        assert pattern in brute_force_fixed_points(plant, 10)
+        assert verify_fixed_point(plant, pattern) is not None
+        assert canonical_rotation(pattern) in {r.pattern for r in period_records(plant, 10)}
 
 
 class TestFindOscillations:

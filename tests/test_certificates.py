@@ -205,3 +205,8 @@ class TestMinorCatalogue:
             d = cyclic_diff(np.array(pattern, float))
             vals = d**2 - np.roll(d, 1) * np.roll(d, -1)
             assert np.all(vals >= 0)
+
+
+def test_preservation_probe_refuses_a_nan_dead_zone():
+    with pytest.raises(ValueError, match="dead_zone must be nonnegative"):
+        check_unimodal_preservation([2.0, -3.0, 0.1], dead_zone=float("nan"))

@@ -252,7 +252,7 @@ class TestSimulateVerb:
 
     def test_non_finite_response_is_refused(self, capsys):
         assert cli.main(["simulate", "--samples", "1,nan", "--delay", "1", "--seed", "1"]) == 1
-        assert "error: the response's absolute sum is nan" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: response samples must be finite\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -312,12 +312,51 @@ def test_nan_dead_zone_is_refused(verb, flags, capsys):
     ids=["check-plant", "analyze", "sweep", "simulate", "oracle"],
 )
 def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, capsys):
+    # a usage error is invalid input: exit 1, as exit 2 means an internal check failed
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "x"], ["sweep", "--geometric", "0.1", "--workers"]],
+    ids=["no-verb", "bad-int", "missing-value"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: relayosc analyze")
+
+
+@pytest.mark.parametrize(
+    "source, dead_zone",
+    [
+        (["--geometric", "0.5992479820325187"], "0.29486613586039423"),
+        (["--geometric", "0.5967006291221685"], "0.2974070888933513"),
+        (["--rational", "1,0/1,-0.5967006291221685"], "0.29740708889335116"),
+        (["--geometric", "0.6145925654416112"], "0.2797421171040235"),
+        (["--geometric", "0.5989733406586771"], "0.29513967480911246"),
+    ],
+    ids=["geometric-a", "geometric-b", "rational-b", "geometric-c", "geometric-d"],
+)
+def test_delay_2_cells_at_the_edge_exit_0(source, dead_zone, tmp_path, capsys):
+    # each dead zone lies within ulps of the edge of [-1 -1 1 1] at period 4, where products summed
+    # in different orders decide differently; the oracle and the analyzer must agree (else exit 2)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", *source, "--delay", "2", "--dead-zone", dead_zone, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["violations"] == []
+    assert "VIOLATION" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,22 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             ImpulseResponse.geometric(0.5, gain=0.0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ImpulseResponse.geometric(0.5, float("inf")), "gain must be positive and finite"),
+            (lambda: ImpulseResponse.geometric(0.5, float("nan")), "gain must be positive and finite"),
+            (lambda: ImpulseResponse.from_rational([1.0, float("nan")], [1.0, -0.5]), "coefficients must be finite"),
+            (lambda: ImpulseResponse.from_rational([1.0, 0.0], [1.0, float("-inf")]), "coefficients must be finite"),
+            (lambda: ImpulseResponse.from_samples([1.0, float("inf")]), "samples must be finite"),
+            (lambda: ImpulseResponse.from_dict({"kind": "samples", "values": [float("nan")]}), "samples must be finite"),
+        ],
+        ids=["inf-gain", "nan-gain", "nan-numerator", "inf-denominator", "inf-sample", "nan-sample-from-dict"],
+    )
+    def test_non_finite_responses_are_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_geometric_tail_exact(self):
         g = ImpulseResponse.geometric(0.25, gain=2.0)
         assert g.tail_bound(0) == pytest.approx(2.0 / 0.75)

@@ -137,14 +137,18 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "g",
         [
-            ImpulseResponse.from_samples([1.0, float("nan")]),
-            ImpulseResponse.from_samples([1.0, float("inf")]),
-            ImpulseResponse.geometric(0.5, float("inf")),
+            (ImpulseResponse.from_samples, [1.0, float("nan")]),
+            (ImpulseResponse.from_samples, [1.0, float("inf")]),
+            (ImpulseResponse.geometric, 0.5, float("inf")),
         ],
     )
     def test_non_finite_response_is_refused(self, g):
+        # refused where it is built; a finite response whose absolute sum overflows, when simulated
+        build, *args = g
+        with pytest.raises(ValueError, match="must be (positive and )?finite"):
+            build(*args)
         with pytest.raises(ValueError, match="only finite responses"):
-            simulate(PlantSpec(g, 1), [1, -1], 20)
+            simulate(PlantSpec(ImpulseResponse.geometric(0.5, 1e308), 1), [1, -1], 20)
 
 
 class TestCycleDetection:

@@ -131,6 +131,12 @@ class TestRelay:
         with pytest.raises(ValueError):
             relay_vec([1.0], -0.1)
 
+    def test_nan_dead_zone_rejected(self):
+        # NaN compares false with everything, so it would relay every entry to 0
+        for call in (lambda: relay(2.0, np.nan), lambda: relay_vec([2.0, -3.0, 0.1], np.nan)):
+            with pytest.raises(ValueError, match="dead_zone must be nonnegative"):
+                call()
+
     def test_relay_vec_needs_a_nonempty_array(self):
         with pytest.raises(ValueError):
             relay_vec([], 0.0)
