@@ -442,12 +442,12 @@ class TestOracleAgainstReference:
             assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(plant, period) == []
 
     @pytest.mark.parametrize("a0, a1", [(2.0, 2.0), (5.0, -3.0)], ids=["zero-slot", "plus-slot"])
-    def test_rows_that_round_apart_are_decided_by_the_exact_sum(self, a0, a1, monkeypatch):
+    def test_rows_that_round_apart_go_to_the_block_product(self, a0, a1, monkeypatch):
         # u_0 = a0 s_0 + a1 s_1 + 2^-52 (s_10 + s_11) at dead zone 2, with s_1 = s_10 forced
         # and s_2..s_9 = 0. In the block s_10 = s_11 = 1, one row puts u_0 at 2: summed left
         # to right it is 2, an edge, while the screen adds the high digits first and gets
         # 2 + 2^-51. The row survives the screen within the rounding allowance, and its
-        # exact sum decides it
+        # exact sum decides it (the name is kept from when a block matrix product did)
         assert 2.0 + 2.0**-52 + 2.0**-52 != 2.0 + (2.0**-52 + 2.0**-52)
         K = np.zeros((12, 12))
         K[0, :2], K[0, 10:] = (a0, a1), 2.0**-52
