@@ -30,37 +30,28 @@ from .analyzer import (
     exists_base_oscillation,
     find_oscillations,
     period_bounds,
-    report_from_dict,
-    subharmonic_periods,
     verify_fixed_point,
 )
 from .certificates import (
     LoopInvarianceReport,
-    PreservationCheck,
     VariationBoundVerdict,
-    check_unimodal_preservation,
     open_loop_variation_check,
-    random_unimodal_vector,
     variation_bounding_conditions,
 )
 from .lti import (
     ImpulseResponse,
     MonotoneDecayVerdict,
-    PeriodicSummation,
     PlantSpec,
     TruncationError,
     UnstablePlantError,
     check_monotone_decay,
     circulant,
-    circulant_apply,
     cyclic_shift,
     factor_delay,
     is_convex_on_support,
-    load_plant,
     loop_gain,
     periodic_summation,
     relative_degree,
-    save_plant,
 )
 from .simulate import (
     ClassificationFlags,

@@ -57,13 +57,11 @@ __all__ = [
     "period_records",
     "exists_base_oscillation",
     "dead_zone_threshold",
-    "subharmonic_periods",
     "check_absence",
     "brute_force_fixed_points",
     "oracle_families",
     "find_oscillations",
     "default_pmax",
-    "report_from_dict",
 ]
 
 #: low base-3 digits per oracle block (3**10 patterns per block)
@@ -202,49 +200,10 @@ class OscillationReport:
         }
 
 
-def report_from_dict(d: dict) -> OscillationReport:
-    """Rebuild a report from its JSON form (records are re-verified upstream)."""
-    plant = PlantSpec.from_dict(
-        {"plant": d["plant"], "delay": d["Pd"], "dead_zone": d["chi0"]}
-    )
-    bounds = None
-    if d.get("bounds"):
-        b = d["bounds"]
-        bounds = PeriodBounds(
-            b["delay"], b["dominance_index"], b["lower"], b["upper"], b["upper_convex"]
-        )
-    absence = None
-    if d.get("absence"):
-        absence = AbsenceVerdict(d["absence"]["applicable"], d["absence"]["reason"])
-    records = [
-        OscillationRecord(
-            period=r["period"],
-            pattern=tuple(r["pattern"]),
-            waveform=tuple(r["waveform"]),
-            unimodal=r["flags"]["unimodal"],
-            pattern_unimodal=r["flags"]["pattern_unimodal"],
-            sign_symmetric=r["flags"]["sign_symmetric"],
-            is_self_oscillation=r["flags"]["is_self_oscillation"],
-        )
-        for r in d.get("records", [])
-    ]
-    oracle = [
-        OracleEntry(e["period"], tuple(e["pattern"]), e["pattern_unimodal"], e["in_analyzer"])
-        for e in d.get("oracle_diff", [])
-    ]
-    return OscillationReport(
-        plant=plant,
-        pmax=d["pmax"],
-        bounds=bounds,
-        absence=absence,
-        records=records,
-        oracle_pmax=d.get("oracle_pmax", 0),
-        oracle_diff=oracle,
-        violations=list(d.get("violations", [])),
-    )
-
-
 # -- bounds ---------------------------------------------------------------
+
+#: the last t :func:`dominance_index` tries
+_DOMINANCE_CAP = 1_000_000
 
 
 def dominance_index(g0: ImpulseResponse, tol: float = DEFAULTS.tol) -> int:
@@ -254,22 +213,27 @@ def dominance_index(g0: ImpulseResponse, tol: float = DEFAULTS.tol) -> int:
     the tail evaluated through the certified bound. The gap must clear
     ``tol`` to count as positive; if it hovers inside the tolerance band
     past the horizon, or the tail bound reaches zero first, the call
-    fails rather than guess.
+    fails rather than guess. The walk goes in blocks of doubling length:
+    ``np.cumsum`` adds the samples one after the other, as a plain loop
+    would, and :meth:`ImpulseResponse.tail_bounds` bounds a block's tails
+    at once.
     """
-    t = 1
-    acc = 0.0
-    while True:
-        acc += g0.sample(t - 1)
-        tail = g0.tail_bound(t)
+    acc, start, block = 0.0, 1, 4
+    while start <= _DOMINANCE_CAP:
+        stop = min(start + block, _DOMINANCE_CAP + 1)
+        t = np.arange(start, stop)
+        sums = np.cumsum(np.concatenate(([acc], g0.samples(stop - 1)[start - 1 :])))[1:]
+        tails = g0.tail_bounds(t)
         # certified lower enclosure of the gap: partial sum minus tail bound
-        if acc - tail > tol:
-            return t
-        if tail == 0.0:
+        won = sums - tails > tol
+        ends = np.flatnonzero(won | (tails == 0.0))
+        if ends.size:
+            if won[ends[0]]:
+                return int(t[ends[0]])
             # nothing is left to add, so no later t can clear tol
             raise TruncationError("partial sum never outweighs the tail: the tail bound is exhausted")
-        t += 1
-        if t > 1_000_000:
-            raise TruncationError("partial-sum dominance undecidable within the horizon")
+        acc, start, block = sums[-1], stop, 2 * block
+    raise TruncationError("partial-sum dominance undecidable within the horizon")
 
 
 def period_bounds(plant: PlantSpec, tol: float = DEFAULTS.tol) -> PeriodBounds:
@@ -523,12 +487,13 @@ def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool, tol: float) ->
     records: list[OscillationRecord] = []
     folds: dict = {}
     rows = 0
-    for period in periods:
-        folds[period] = _fold(plant, period, tol)
-        rows += 4 * period
-        if rows >= _SCREEN_ROWS or period == periods[-1]:
-            records.extend(_batch_records(plant, folds, prune_sign_symmetric))
-            folds, rows = {}, 0
+    with np.errstate(over="ignore"):  # a fold whose absolute sum overflows is refused by _rounding_bound
+        for period in periods:
+            folds[period] = _fold(plant, period, tol)
+            rows += 4 * period
+            if rows >= _SCREEN_ROWS or period == periods[-1]:
+                records.extend(_batch_records(plant, folds, prune_sign_symmetric))
+                folds, rows = {}, 0
     return records
 
 
@@ -578,22 +543,6 @@ def dead_zone_threshold(plant: PlantSpec, tol: float = DEFAULTS.tol) -> float:
     """
     _, u = _base_waveform(plant, tol)
     return float(np.sort(-u)[::-1][plant.delay - 1])
-
-
-def subharmonic_periods(delay: int) -> list[int]:
-    """All even periods of the form 2*delay / odd divisor, descending.
-
-    These are the periods at which the half-and-half family persists
-    once the base-period oscillation exists and the dead zone stays
-    below the threshold; includes 2*delay itself.
-    """
-    if delay < 1:
-        raise ValueError("delay must be at least 1")
-    periods = []
-    for d in range(1, delay + 1):
-        if delay % d == 0 and d % 2 == 1:
-            periods.append(2 * delay // d)
-    return sorted(periods, reverse=True)
 
 
 def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict:

@@ -1,15 +1,13 @@
 """Executable variation-bounding certificates.
 
-Three checks with the same theme: a circulant transform generated by a
+Two checks with the same theme: a circulant transform generated by a
 suitable vector cannot increase the cyclic variation of an input's
 cyclic difference beyond 2, i.e. it maps single-peaked periodic signals
 to single-peaked periodic signals.
 
 ``variation_bounding_conditions`` decides the property for an arbitrary
 generator through two testable conditions on its cyclic differences.
-``check_unimodal_preservation`` probes the property empirically with
-randomly generated single-peaked inputs. ``open_loop_variation_check``
-specializes to the relay feedback loop: the response of a monotonically
+``open_loop_variation_check`` specializes to the relay feedback loop: the response of a monotonically
 decaying plant to a unimodal relay pattern has low cyclic variation,
 which is the invariance property behind the fixed-point search.
 """
@@ -22,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULTS
-from .lti import PlantSpec, check_monotone_decay, circulant_apply, loop_gain
+from .lti import PlantSpec, check_monotone_decay, loop_gain
 from .variation import (
     cyclic_diff,
     cyclic_sign_changes,
@@ -34,9 +32,6 @@ from .variation import (
 __all__ = [
     "VariationBoundVerdict",
     "variation_bounding_conditions",
-    "PreservationCheck",
-    "random_unimodal_vector",
-    "check_unimodal_preservation",
     "LoopInvarianceReport",
     "open_loop_variation_check",
 ]
@@ -88,62 +83,6 @@ def variation_bounding_conditions(v, slack: float = 1e-12) -> VariationBoundVerd
     condition2 = bad.size == 0
     witness = int(bad[0]) if bad.size else None
     return VariationBoundVerdict(condition1, condition2, witness)
-
-
-def random_unimodal_vector(rng: np.random.Generator, n: int, integer: bool = False) -> np.ndarray:
-    """Random vector whose cyclic difference variation is at most 2.
-
-    Built constructively: a rise to a peak followed by a fall, with
-    random breakpoints and levels, then a random rotation. Covers
-    plateaus and repeated values; with ``integer`` the levels are small
-    integers so exact ties are frequent.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    peak = int(rng.integers(1, n + 1))
-    if integer:
-        levels = rng.integers(0, 4, size=n).astype(float)
-    else:
-        levels = rng.uniform(-1.0, 1.0, size=n)
-    head = np.sort(levels[:peak])
-    tail = np.sort(levels[peak:])[::-1]
-    return np.roll(np.concatenate([head, tail]), int(rng.integers(0, n)))
-
-
-@dataclass(frozen=True, eq=False)
-class PreservationCheck:
-    """Result of the randomized preservation probe."""
-
-    ok: bool
-    counterexample: Optional[np.ndarray]
-    trials: int
-
-
-def check_unimodal_preservation(
-    v,
-    trials: int = 200,
-    seed: int = 0,
-    dead_zone: float = 0.0,
-) -> PreservationCheck:
-    """Probe whether the relay image of v generates a variation-safe circulant.
-
-    Draws ``trials`` random low-variation inputs w and checks that the
-    circulant generated by relay(v) keeps the cyclic difference
-    variation of the output at most 2. Returns the first violating w if
-    one is found. When the relay image has zero-resolved cyclic
-    variation <= 2 no counterexample can exist; the probe is most useful
-    for falsifying generators outside that class.
-    """
-    x = np.asarray(v, dtype=float)
-    pattern = relay_vec(x, dead_zone).astype(float)
-    rng = np.random.default_rng(seed)
-    n = x.size
-    for _ in range(trials):
-        w = random_unimodal_vector(rng, n, integer=bool(rng.integers(0, 2)))
-        out = circulant_apply(pattern, w)
-        if cyclic_sign_changes(cyclic_diff(out)) > 2:
-            return PreservationCheck(False, w, trials)
-    return PreservationCheck(True, None, trials)
 
 
 @dataclass(frozen=True, eq=False)

@@ -309,7 +309,7 @@ _FLAGS = {
     "format": dict(choices=("json", "csv"), default="json", help="report format for --out"),
     "out": dict(help="output path"),
     "seed-file": dict(help="JSON file with relay seed histories"),
-    "tol": dict(type=float, default=DEFAULTS.tol, help="certified truncation tolerance"),
+    "tol": dict(type=float, default=DEFAULTS.tol, help="tail tolerance of the dominance gap and the decay windows"),
     "oracle-cap": dict(
         type=int, default=DEFAULTS.oracle_cap, help="largest period the exhaustive oracle may attempt"
     ),

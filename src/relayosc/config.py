@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Defaults:
-    #: certified truncation tolerance for periodic summation and tail scans
+    #: tail tolerance: the dominance gap and the geometric and finite decay windows
     tol: float = 1e-12
     #: waveform repetition tolerance for steady-state detection
     detect_tol: float = 1e-9

@@ -3,11 +3,11 @@
 A plant is described by a causal, absolutely summable impulse response
 plus a pure delay and a relay dead-zone width. Three response sources
 are supported: a geometric decay ``gain * ratio**t``, a proper rational
-transfer function evaluated through its linear recurrence, and a finite
-list of samples. Each source carries a certified bound on the absolute
-tail sum, which is what lets the periodic summation, the monotonicity
-checks and the convexity check stop after finitely many terms while
-still guaranteeing their verdicts to a stated tolerance.
+transfer function, and a finite list of samples. A rational response is
+sampled through its linear recurrence and folded, bounded and certified
+through its Jordan (partial-fraction) form, built from its poles on
+first use. Each source carries a certified bound on the absolute tail
+sum, and every periodic summation is closed-form or exact.
 
 The circulant helpers realize periodic convolution: ``circulant(v)`` has
 first column v, applying it to w is the cyclic convolution of v and w,
@@ -17,9 +17,11 @@ power of the cyclic back-shift matrix).
 
 from __future__ import annotations
 
-import json
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "UnstablePlantError",
     "TruncationError",
     "ImpulseResponse",
-    "PeriodicSummation",
     "MonotoneDecayVerdict",
     "PlantSpec",
     "periodic_summation",
@@ -38,13 +39,10 @@ __all__ = [
     "relative_degree",
     "factor_delay",
     "circulant",
-    "circulant_apply",
     "cyclic_shift",
     "loop_generator",
     "loop_matrix",
     "loop_gain",
-    "load_plant",
-    "save_plant",
 ]
 
 GEOMETRIC = "geometric"
@@ -56,6 +54,9 @@ STABILITY_MARGIN = 1e-9
 
 #: hard cap on how many samples any certified scan may touch
 MAX_HORIZON = 2_000_000
+
+#: unit roundoff of float64
+_U = 2.0**-53
 
 
 def _resume(g: np.ndarray, start: int, coeffs: list) -> None:
@@ -85,6 +86,98 @@ def _resume(g: np.ndarray, start: int, coeffs: list) -> None:
             window = window[1:] + [acc]
 
 
+def _binom(t, k: int):
+    """C(t, k) as floats for integers t >= 0 (0 where t < k)."""
+    out = np.ones(np.shape(t))
+    for j in range(k):
+        out = out * (t - j) / (j + 1)
+    return out
+
+
+def _series_div(top, bottom) -> list:
+    """The first len(top) coefficients of the power series top / bottom."""
+    q: list = []
+    for k in range(len(top)):
+        q.append((top[k] - sum(bottom[i] * q[k - i] for i in range(1, k + 1))) / bottom[0])
+    return q
+
+
+def _clusters(poles: list) -> list[list[int]]:
+    """Indices of the nonzero poles, grouped where the computed roots of one m-fold root spread.
+
+    They spread by about u^(1/m) (u the unit roundoff). From the largest m down, poles linked by
+    steps below 10 (4u)^(1/m) form a group if all lie within 10 (4u)^(1/s), s the group's size.
+    """
+    left, groups = [k for k, p in enumerate(poles) if p != 0], []
+    for m in range(len(left), 1, -1):
+        step = 10 * (4 * _U) ** (1 / m)
+        for group in [[k] for k in left]:
+            for i in group:  # grows while it is walked
+                group += [j for j in left if j not in group and abs(poles[i] - poles[j]) <= step]
+            spread = max(abs(poles[i] - poles[j]) for i in group for j in group)
+            if 1 < len(group) and set(group) <= set(left) and spread <= 10 * (4 * _U) ** (1 / len(group)):
+                groups.append(group)
+                left = [j for j in left if j not in group]
+    return groups + [[k] for k in left]
+
+
+def _jordan(num: list, c, factors: list, m: int) -> list:
+    """The first m Taylor coefficients at c of num(z) / prod_{p in factors} (z - p), highest first.
+
+    With the other poles and 0 as ``factors`` they are the b_j of an m-fold pole c in
+    num(z)/den(z) = ... + sum_j b_j z / (z - c)^(j+1). The factors stay a product, so no
+    cancelling polynomial forms; num (falling powers) is evaluated by Horner's rule, as np.polyval.
+    """
+    top = []
+    for k in range(m):
+        top.append(functools.reduce(lambda acc, a: acc * c + a, num, 0.0) / math.factorial(k))
+        num = [a * (len(num) - 1 - i) for i, a in enumerate(num[:-1])]
+    bottom = [1.0] + [0.0] * (m - 1)
+    for p in factors:
+        bottom = [bottom[0] * (c - p)] + [bottom[k] * (c - p) + bottom[k - 1] for k in range(1, m)]
+    return _series_div(top, [x.real if isinstance(c, float) else x for x in bottom])[::-1]
+
+
+class _Mode(NamedTuple):
+    """Terms coeffs[j] C(s, j) pole^(s - j), s = t - anchor >= 0, of a pole of multiplicity len(coeffs).
+
+    ``radius`` >= |pole| and ``amplitudes`` >= |coeffs| hold for the exact plant: they add the
+    first-order error of the computed root and coefficients, doubled.
+    """
+
+    pole: complex
+    coeffs: np.ndarray
+    radius: float
+    amplitudes: np.ndarray
+    anchor: int
+
+
+def _mode_fold(mode: _Mode, period: int) -> np.ndarray:
+    """The mode folded: per term (1/j!) d^j/dc^j c^e / (1 - c^P) at e = (i - anchor) mod P, i < P."""
+    c, b = mode.pole, mode.coeffs
+    e = (np.arange(period) - mode.anchor) % period
+    out = b[0] * c**e / (1.0 - c**period)
+    if b.size > 1:
+        top = [_binom(e, k) * c ** np.maximum(e - k, 0) for k in range(b.size)]
+        bottom = [1.0 - c**period] + [-_binom(period, k) * c ** (period - k) for k in range(1, b.size)]
+        out = out + sum(b[j] * q for j, q in enumerate(_series_div(top, bottom)) if j)
+    return np.real(out)
+
+
+def _mode_tail(mode: _Mode, t: np.ndarray) -> np.ndarray:
+    """Bound on the mode's absolute sum from t >= anchor: sum_j A_j sum_{i<=j} C(s, j-i) r^(s-j+i) / (1-r)^(i+1)."""
+    r, s = mode.radius, t - mode.anchor
+    terms = [a * (_binom(s, j - i) * r ** np.maximum(s - j + i, 0) if i < j else r**s) / (1.0 - r) ** (i + 1)
+             for j, a in enumerate(mode.amplitudes.tolist()) for i in range(j + 1)]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(s.shape)
+
+
+def _require_finite_sum(sums) -> None:
+    """Refuse a response whose absolute sum is not finite, before any fold or bound meets it."""
+    if not np.isfinite(sums).all():
+        raise ValueError("the response's absolute sum is not finite")
+
+
 class UnstablePlantError(ValueError):
     """Denominator has a pole on or outside the stability margin."""
 
@@ -97,8 +190,8 @@ class ImpulseResponse:
     """Causal scalar impulse response with a certified l1 tail bound.
 
     Construct through :meth:`geometric`, :meth:`from_rational` or
-    :meth:`from_samples`. Instances are immutable apart from an internal
-    sample cache and are safe to share between workers.
+    :meth:`from_samples`. Instances are immutable apart from internal
+    caches (rational samples, Jordan form) and are safe to share between workers.
     """
 
     def __init__(self, kind: str, **params):
@@ -134,8 +227,9 @@ class ImpulseResponse:
                 raise UnstablePlantError(
                     f"pole radii [{radii}] reach the unit circle; response is not absolutely summable"
                 )
-            self._cache = self._rational_transient()
-            self._tail_c: Optional[float] = None
+            with np.errstate(all="ignore"):
+                self._cache = self._rational_transient()
+            _require_finite_sum(self._cache)
         elif kind == SAMPLES:
             values = np.atleast_1d(np.asarray(params["values"], dtype=float))
             if values.ndim != 1:
@@ -144,7 +238,9 @@ class ImpulseResponse:
                 raise ValueError("response samples must be finite")
             self.values = values
             # suffix sums of |g| give the exact tail
-            self._suffix = np.concatenate([np.cumsum(np.abs(values)[::-1])[::-1], [0.0]])
+            with np.errstate(over="ignore"):
+                self._suffix = np.concatenate([np.cumsum(np.abs(values)[::-1])[::-1], [0.0]])
+            _require_finite_sum(self._suffix[:1])
         else:
             raise ValueError(f"unknown impulse response kind {kind!r}")
 
@@ -226,55 +322,81 @@ class ImpulseResponse:
             return float(self._cache[t])
         return float(self.samples(t + 1)[t])
 
-    # -- certified tail ------------------------------------------------
+    # -- closed form and certified tail --------------------------------
 
-    def _rational_envelope(self) -> tuple[float, float]:
-        """(c, rho_hat) with |g(t)| <= c * rho_hat**t for all t.
+    @functools.cached_property
+    def _modes(self) -> tuple[list, np.ndarray, np.ndarray, float]:
+        """(modes, head, corrections, l1): the Jordan form of a rational response, built on first use.
 
-        rho_hat sits strictly between the dominant pole radius and 1, so
-        the polynomial factor of repeated poles is swallowed; c is found
-        by scanning |g(t)| / rho_hat**t until the ratio has decayed far
-        below its running maximum.
+        g(t) is the sum of the modes' terms (:class:`_Mode`) plus corrections[t], nonzero only for
+        t < head.size = 1 + the number of poles at 0; head holds g(t) there. A mode starts at
+        t = 0 (b z / (z - c) for a simple pole c, folding like a geometric response) or, for
+        |c| < 1e-3, at t = head.size, sparing a coefficient ~ c^-head.size its cancellation.
+        np.roots splits off the poles at 0 exactly and finds the rest as eigenvalues of the
+        companion of den', den without its trailing zeros: a pole's error is the spread of its
+        computed roots plus its first-order sensitivity to a backward error of 8 (n' + 1) u
+        ||den'||_1; its coefficients' is twice their change when it moves that much, plus their
+        relative sensitivity to the other poles' errors and 8 (n + m) u. l1 is
+        :meth:`tail_bounds` at 0. Refuses a response whose absolute sum is not finite or whose
+        pole radii reach 1 within their error.
         """
-        if self._tail_c is not None:
-            return self._tail_c, self._rho_hat
-        rho = float(np.max(np.abs(self.poles)))
-        rho_hat = (1.0 + rho) / 2.0
-        n = max(128, 8 * self.den.size)
-        while True:
-            g = self.samples(n)
-            ratio = np.abs(g) / rho_hat ** np.arange(n)
-            c = float(ratio.max())
-            # decayed ratio at the end certifies the max is global
-            if np.all(ratio[-16:] <= max(c, 1e-300) * 1e-9):
-                break
-            n *= 2
-        self._rho_hat = rho_hat
-        self._tail_c = c
-        return c, rho_hat
+        poles = self.poles.tolist()
+        groups = _clusters(poles)
+        size = len(poles) - sum(map(len, groups)) + 1
+        centers = [sum(poles[k] for k in g) / len(g) for g in groups]
+        centers = [c.real if isinstance(c, complex) and c.imag == 0 else c for c in centers]
+        others = [[p for k, p in enumerate(poles) if k not in g] for g in groups]
+        rest = self.den[: self.den.size + 1 - size]  # without its trailing zeros
+        backward = 8 * rest.size * _U * float(np.abs(rest).sum())
+        errors = []
+        for g, c, o in zip(groups, centers, others):
+            lead = abs(math.prod(c - p for p in o if p))  # den' / (z - c)^m at c
+            sensitivity = backward * sum(abs(c) ** k for k in range(rest.size)) / lead
+            errors.append(max(abs(poles[k] - c) for k in g) + sensitivity ** (1 / len(g)))
+        num, modes = self.num.tolist(), []
+        for g, c, o, err in zip(groups, centers, others, errors):
+            anchor = size if abs(c) < 1e-3 else 0
+            factors = [p for p in o if p] if anchor else [0.0, *o]
+            b, moved = (_jordan(num, x, factors, len(g)) for x in (c, c + err))
+            near = sum(len(h) * e / abs(c - d) for h, d, e in zip(groups, centers, errors) if h is not g)
+            grow = 1 + near + 8 * (self.den.size + len(g)) * _U
+            amplitudes = [abs(x) * grow + 2 * abs(y - x) for x, y in zip(b, moved)]
+            modes.append(_Mode(c, np.array(b), abs(c) + err, np.array(amplitudes), anchor))
+        head = self._cache[:size]
+        modal = [sum((b * math.comb(t, j) * m.pole ** (t - j)).real for m in modes if not m.anchor
+                     for j, b in enumerate(m.coeffs.tolist()) if j <= t) for t in range(size)]
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            total = float(np.abs(head).sum()) + sum(float(_mode_tail(m, np.array([size]))[0]) for m in modes)
+        _require_finite_sum(total if all(m.radius < 1 for m in modes) else math.inf)
+        return modes, head, head - np.array(modal), total * (1 + 8 * (self.den.size + 3) * _U)
+
+    def tail_bounds(self, t) -> np.ndarray:
+        """Certified upper bounds on sum_{k>=t} |g(k)| for an array of t, each in O(order).
+
+        Rational: the head's samples, then each mode's bound (:func:`_mode_tail`) at its error
+        radius and amplitudes, all scaled by 1 + 8 (n + 4) u for their own rounding.
+        """
+        t = np.maximum(np.asarray(t, dtype=np.int64), 0)
+        if self.kind != RATIONAL:
+            return np.array([self.tail_bound(k) for k in t.tolist()])
+        modes, head = self._modes[:2]
+        suffix = np.concatenate([np.cumsum(np.abs(head)[::-1])[::-1], [0.0]])
+        past = np.maximum(t, head.size)
+        out = suffix[np.minimum(t, head.size)] + sum((_mode_tail(m, past) for m in modes), np.zeros(t.shape))
+        return out * (1 + 8 * (self.den.size + 3) * _U)
 
     def tail_bound(self, t: int) -> float:
-        """Certified upper bound on sum_{k>=t} |g(k)|."""
+        """Certified upper bound on sum_{k>=t} |g(k)|: closed-form, exact suffix sums, or :meth:`tail_bounds`."""
         t = max(int(t), 0)
         if self.kind == GEOMETRIC:
             return self.gain * self.ratio**t / (1.0 - self.ratio)
         if self.kind == SAMPLES:
             return float(self._suffix[min(t, self.values.size)])
-        if self.poles.size == 0:
-            m = self.num.size
-            if t >= m:
-                return 0.0
-            return float(np.sum(np.abs(self.samples(m)[t:])))
-        c, rho_hat = self._rational_envelope()
-        return c * rho_hat**t / (1.0 - rho_hat)
+        return float(self.tail_bounds([t])[0])
 
     def l1_bound(self) -> float:
         """Upper bound on the total absolute sum of the response."""
-        if self.kind == RATIONAL and self.poles.size:
-            n = self.horizon(DEFAULTS.tol)
-            g = self.samples(n)
-            return float(np.sum(np.abs(g))) + self.tail_bound(n)
-        return self.tail_bound(0)
+        return self._modes[3] if self.kind == RATIONAL else self.tail_bound(0)
 
     def horizon(self, tol: float) -> int:
         """Smallest n (power-of-two refined) with tail_bound(n) < tol."""
@@ -298,27 +420,33 @@ class ImpulseResponse:
                 lo = mid + 1
         return hi
 
-    def tail_monotone_certified(self) -> bool:
-        """Whether decay properties checked on a window extend to the tail.
+    def _decay_window(self) -> Optional[int]:
+        """Samples of a rational response past which it is certified positive, falling and convex.
 
-        Geometric and finite-support responses are certified by
-        construction. A rational response is certified when its dominant
-        pole is real, positive, simple and strictly dominant, since the
-        tail is then asymptotically a one-signed geometric term.
+        The dominant mode must be a simple real pole c > 0 with coefficient b > 0, all others
+        simple. Past the window's T its terms b c^t (1 - c)^d, d = 0, 1, 2, at their lower ends
+        outweigh the others' at their error radii: g(t), g(t) - g(t+1) and g(t) - 2 g(t+1) +
+        g(t+2) stay positive. The window is T + 2 samples, T at least the head; None when no such
+        pole dominates strictly or T passes ``MAX_HORIZON``. Without modes it is the head.
         """
-        if self.kind in (GEOMETRIC, SAMPLES):
-            return True
-        if self.poles.size == 0:
-            return True
-        radii = np.abs(self.poles)
-        k = int(np.argmax(radii))
-        p = self.poles[k]
-        if abs(p.imag) > 1e-12 or p.real <= 0:
-            return False
-        others = np.delete(radii, k)
-        if others.size and others.max() >= abs(p) * (1.0 - 1e-9):
-            return False
-        return True
+        modes, head = self._modes[:2]
+        if not modes:
+            return head.size
+        lead = max(modes, key=lambda m: abs(m.pole))
+        low, amp = 2 * lead.pole - lead.radius, 2 * lead.coeffs[0] - lead.amplitudes[0]
+        if isinstance(lead.pole, complex) or any(m.coeffs.size > 1 for m in modes) or low <= 0 or amp <= 0:
+            return None
+        rest = [m for m in modes if m is not lead]
+        if any(m.radius >= low for m in rest):
+            return None
+        size = head.size
+        for d, m in itertools.product(range(3), rest):
+            top = len(rest) * m.amplitudes[0] * (abs(1 - m.pole) + m.radius - abs(m.pole)) ** d
+            if top > 0:  # top r^(t - anchor) < amp (1 - radius)^d low^(t - lead anchor) past this t
+                gap = math.log(top / amp / (1.0 - lead.radius) ** d)
+                gap += lead.anchor * math.log(low) - m.anchor * math.log(m.radius)
+                size = max(size, math.floor(gap / math.log(low / m.radius)) + 2)
+        return size + 2 if size <= MAX_HORIZON else None
 
     # -- serialization -------------------------------------------------
 
@@ -382,39 +510,29 @@ def factor_delay(g: ImpulseResponse) -> tuple[int, ImpulseResponse]:
     return d, core
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicSummation:
-    """One period of sum_k g(i + k*period) with a certified residual error bound."""
+def periodic_summation(g: ImpulseResponse, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+    """Fold a summable response into one period: entry i (0-based) is sum_{k>=0} g(i + k*period).
 
-    period: int
-    values: np.ndarray
-    residual: float
-
-
-def periodic_summation(g: ImpulseResponse, period: int, tol: float = DEFAULTS.tol) -> PeriodicSummation:
-    """Fold a summable response into one period.
-
-    Entry i (0-based) is sum_{k>=0} g(i + k*period), computed in closed
-    form for geometric responses, exactly for finite supports, and by
-    certified truncation otherwise. Raises :class:`TruncationError` when
-    the tail bound cannot be brought below ``tol``.
+    Every fold is closed-form or exact, so ``tol`` is not read. Geometric: gain r^i / (1 - r^P).
+    Finite supports: the samples summed per residue class. Rational: each mode of the Jordan
+    form folded in closed form (:func:`_mode_fold`), plus the head corrections; a simple pole c
+    with coefficient b gives b c^i / (1 - c^P), so z/(z - r) folds to the bits of geometric r.
     """
     if period < 1:
         raise ValueError("period must be at least 1")
     if g.kind == GEOMETRIC:
-        vals = g.gain * g.ratio ** np.arange(period) / (1.0 - g.ratio**period)
-        return PeriodicSummation(period, vals, 0.0)
+        return g.gain * g.ratio ** np.arange(period) / (1.0 - g.ratio**period)
     if g.kind == SAMPLES:
         n = g.values.size
-        reps = -(-n // period)
-        padded = np.zeros(reps * period)
+        padded = np.zeros(-(-n // period) * period)
         padded[:n] = g.values
-        return PeriodicSummation(period, padded.reshape(reps, period).sum(axis=0), 0.0)
-    horizon = g.horizon(tol)
-    reps = -(-horizon // period)
-    head = g.samples(reps * period)
-    vals = head.reshape(reps, period).sum(axis=0)
-    return PeriodicSummation(period, vals, g.tail_bound(reps * period))
+        return padded.reshape(-1, period).sum(axis=0)
+    modes, _, corrections, _ = g._modes
+    vals = np.zeros(period)
+    for mode in modes:
+        vals = vals + _mode_fold(mode, period)
+    np.add.at(vals, np.arange(corrections.size) % period, corrections)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -444,17 +562,30 @@ class MonotoneDecayVerdict:
         )
 
 
+def _inspected(g: ImpulseResponse, tol: float, least: int) -> tuple[np.ndarray, bool]:
+    """(the samples the decay and convexity checks inspect, whether the tail past them is certified).
+
+    Geometric and finite responses: up to where the tail bound falls below ``tol``; their shape
+    past it holds by construction. Rational: :meth:`ImpulseResponse._decay_window`, or the
+    transient and two more samples when it certifies nothing.
+    """
+    if g.kind != RATIONAL:
+        return g.samples(max(g.horizon(tol), least)), True
+    size = g._decay_window()
+    return g.samples(max(size or g.den.size + 2, least)), size is not None
+
+
 def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFAULTS.tol) -> MonotoneDecayVerdict:
     """Verify that g is summable, one-piece, positive and strictly falling.
 
-    The check runs over the window where the certified tail is below
-    ``tol`` and never raises; the verdict reports each property
-    separately. ``eps`` relaxes strictness: consecutive samples may rise
-    by at most eps before the decrease check fails.
+    The check inspects a window of samples (:func:`_inspected`) and never
+    raises on a response with a finite absolute sum; the verdict reports
+    each property separately. ``eps`` relaxes strictness: consecutive
+    samples may rise by at most eps before the decrease check fails.
     """
     notes: list[str] = []
     try:
-        horizon = g.horizon(tol)
+        window, certified = _inspected(g, tol, 2)
     except TruncationError:
         return MonotoneDecayVerdict(
             summable=False,
@@ -465,9 +596,8 @@ def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFA
             horizon=0,
             notes=("tail bound does not converge within the horizon cap",),
         )
-    window = g.samples(max(horizon, 2))
     nz = np.flatnonzero(window)
-    infinite_tail = g.kind == GEOMETRIC or (g.kind == RATIONAL and g.poles.size > 0)
+    infinite_tail = g.kind == GEOMETRIC or (g.kind == RATIONAL and bool(g._modes[0]))
     if nz.size == 0:
         if infinite_tail:
             notes.append("window is all zero but the tail is not; support starts beyond the horizon")
@@ -494,7 +624,6 @@ def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFA
     decreasing = bool(np.all(np.diff(interior) < eps)) if interior.size > 1 else True
     if not decreasing:
         notes.append("response is not strictly decreasing on its support")
-    certified = g.tail_monotone_certified()
     if not certified:
         notes.append("undecidable beyond horizon: tail shape not certified for this source")
     return MonotoneDecayVerdict(
@@ -516,16 +645,15 @@ def is_convex_on_support(g: ImpulseResponse, tol: float = DEFAULTS.tol) -> bool:
     certified for the source kind the answer is False, which downstream
     merely drops an optional tightening of the period bound.
     """
-    horizon = g.horizon(tol)
-    window = g.samples(max(horizon, 3))
+    window, certified = _inspected(g, tol, 3)
+    if not certified:
+        return False
     nz = np.flatnonzero(window)
     if nz.size == 0:
         return True
     lo, hi = int(nz[0]), int(nz[-1])
     seg = window[lo : hi + 1]
-    if seg.size >= 3 and not np.all(seg[2:] - 2.0 * seg[1:-1] + seg[:-2] >= -1e-12):
-        return False
-    return g.tail_monotone_certified()
+    return seg.size < 3 or bool(np.all(seg[2:] - 2.0 * seg[1:-1] + seg[:-2] >= -1e-12))
 
 
 # -- circulant algebra ------------------------------------------------
@@ -537,15 +665,6 @@ def circulant(v) -> np.ndarray:
     n = x.size
     idx = np.arange(n)
     return x[(idx[:, None] - idx[None, :]) % n]
-
-
-def circulant_apply(v, w) -> np.ndarray:
-    """Cyclic convolution of v and w, i.e. circulant(v) @ w; commutes in its arguments."""
-    x = np.asarray(v, dtype=float)
-    y = np.asarray(w, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("circulant_apply needs two equal-length vectors")
-    return circulant(x) @ y
 
 
 def cyclic_shift(v, k: int) -> np.ndarray:
@@ -607,20 +726,9 @@ class PlantSpec:
         return cls.from_response(g, int(d.get("delay", 0)), float(d.get("dead_zone", 0.0)))
 
 
-def load_plant(path) -> PlantSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PlantSpec.from_dict(json.load(fh))
-
-
-def save_plant(plant: PlantSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plant.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 def loop_generator(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
     """The generator c = roll(folded, delay mod period): relay pattern s gives -circulant(c) @ s."""
-    folded = periodic_summation(plant.g0, period, tol).values
+    folded = periodic_summation(plant.g0, period, tol)
     return cyclic_shift(folded, plant.delay % period)
 
 

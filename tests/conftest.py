@@ -8,18 +8,174 @@ against themselves.
 from __future__ import annotations
 
 import contextlib
+import json
 import signal
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from relayosc.analyzer import _record_from, enumerate_unimodal_patterns
+from relayosc.analyzer import (
+    AbsenceVerdict,
+    OracleEntry,
+    OscillationRecord,
+    OscillationReport,
+    PeriodBounds,
+    _record_from,
+    enumerate_unimodal_patterns,
+)
 from relayosc.config import DEFAULTS
-from relayosc.lti import SAMPLES, ImpulseResponse, PlantSpec, loop_matrix
+from relayosc.lti import SAMPLES, ImpulseResponse, PlantSpec, _Mode, _mode_fold, circulant, loop_matrix
 from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
-from relayosc.variation import cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
+from relayosc.variation import cyclic_diff, cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
+
+
+# -- library surface only the tests use -------------------------------------
+
+
+def report_from_dict(d: dict) -> OscillationReport:
+    """Rebuild a report from its JSON form (records are re-verified upstream)."""
+    plant = PlantSpec.from_dict(
+        {"plant": d["plant"], "delay": d["Pd"], "dead_zone": d["chi0"]}
+    )
+    bounds = None
+    if d.get("bounds"):
+        b = d["bounds"]
+        bounds = PeriodBounds(
+            b["delay"], b["dominance_index"], b["lower"], b["upper"], b["upper_convex"]
+        )
+    absence = None
+    if d.get("absence"):
+        absence = AbsenceVerdict(d["absence"]["applicable"], d["absence"]["reason"])
+    records = [
+        OscillationRecord(
+            period=r["period"],
+            pattern=tuple(r["pattern"]),
+            waveform=tuple(r["waveform"]),
+            unimodal=r["flags"]["unimodal"],
+            pattern_unimodal=r["flags"]["pattern_unimodal"],
+            sign_symmetric=r["flags"]["sign_symmetric"],
+            is_self_oscillation=r["flags"]["is_self_oscillation"],
+        )
+        for r in d.get("records", [])
+    ]
+    oracle = [
+        OracleEntry(e["period"], tuple(e["pattern"]), e["pattern_unimodal"], e["in_analyzer"])
+        for e in d.get("oracle_diff", [])
+    ]
+    return OscillationReport(
+        plant=plant,
+        pmax=d["pmax"],
+        bounds=bounds,
+        absence=absence,
+        records=records,
+        oracle_pmax=d.get("oracle_pmax", 0),
+        oracle_diff=oracle,
+        violations=list(d.get("violations", [])),
+    )
+
+
+
+
+def subharmonic_periods(delay: int) -> list[int]:
+    """All even periods of the form 2*delay / odd divisor, descending.
+
+    These are the periods at which the half-and-half family persists
+    once the base-period oscillation exists and the dead zone stays
+    below the threshold; includes 2*delay itself.
+    """
+    if delay < 1:
+        raise ValueError("delay must be at least 1")
+    periods = []
+    for d in range(1, delay + 1):
+        if delay % d == 0 and d % 2 == 1:
+            periods.append(2 * delay // d)
+    return sorted(periods, reverse=True)
+
+
+
+
+def random_unimodal_vector(rng: np.random.Generator, n: int, integer: bool = False) -> np.ndarray:
+    """Random vector whose cyclic difference variation is at most 2.
+
+    Built constructively: a rise to a peak followed by a fall, with
+    random breakpoints and levels, then a random rotation. Covers
+    plateaus and repeated values; with ``integer`` the levels are small
+    integers so exact ties are frequent.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    peak = int(rng.integers(1, n + 1))
+    if integer:
+        levels = rng.integers(0, 4, size=n).astype(float)
+    else:
+        levels = rng.uniform(-1.0, 1.0, size=n)
+    head = np.sort(levels[:peak])
+    tail = np.sort(levels[peak:])[::-1]
+    return np.roll(np.concatenate([head, tail]), int(rng.integers(0, n)))
+
+
+@dataclass(frozen=True, eq=False)
+class PreservationCheck:
+    """Result of the randomized preservation probe."""
+
+    ok: bool
+    counterexample: Optional[np.ndarray]
+    trials: int
+
+
+def check_unimodal_preservation(
+    v,
+    trials: int = 200,
+    seed: int = 0,
+    dead_zone: float = 0.0,
+) -> PreservationCheck:
+    """Probe whether the relay image of v generates a variation-safe circulant.
+
+    Draws ``trials`` random low-variation inputs w and checks that the
+    circulant generated by relay(v) keeps the cyclic difference
+    variation of the output at most 2. Returns the first violating w if
+    one is found. When the relay image has zero-resolved cyclic
+    variation <= 2 no counterexample can exist; the probe is most useful
+    for falsifying generators outside that class.
+    """
+    x = np.asarray(v, dtype=float)
+    pattern = relay_vec(x, dead_zone).astype(float)
+    rng = np.random.default_rng(seed)
+    n = x.size
+    for _ in range(trials):
+        w = random_unimodal_vector(rng, n, integer=bool(rng.integers(0, 2)))
+        out = circulant_apply(pattern, w)
+        if cyclic_sign_changes(cyclic_diff(out)) > 2:
+            return PreservationCheck(False, w, trials)
+    return PreservationCheck(True, None, trials)
+
+
+
+
+def circulant_apply(v, w) -> np.ndarray:
+    """Cyclic convolution of v and w, i.e. circulant(v) @ w; commutes in its arguments."""
+    x = np.asarray(v, dtype=float)
+    y = np.asarray(w, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("circulant_apply needs two equal-length vectors")
+    return circulant(x) @ y
+
+
+
+
+def load_plant(path) -> PlantSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        return PlantSpec.from_dict(json.load(fh))
+
+
+def save_plant(plant: PlantSpec, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(plant.to_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 def wrapped_rotation_count(v) -> int:
@@ -88,6 +244,58 @@ def direct_periodic_summation(sample_fn, period: int, terms: int) -> np.ndarray:
         for k in range(terms):
             out[i] += sample_fn(i + k * period)
     return out
+
+
+def exact_rational_fold(num, den, period: int) -> list:
+    """One period of the fold of num(z)/den(z), in Fraction arithmetic on the float coefficients.
+
+    The fold solves the recurrence wrapped onto one period: sum_j den_j gbar((i - j) mod P)
+    is the sum of the numerator's coefficients of z^-t over t = i mod P. The P x P system is
+    solved by Gauss-Jordan elimination; it is regular because no pole lies on the unit circle.
+    """
+    rows = [[Fraction(0)] * (period + 1) for _ in range(period)]
+    for t, x in enumerate([0.0] * (len(den) - len(num)) + list(num)):
+        rows[t % period][period] += Fraction(x)
+    for i in range(period):
+        for j, x in enumerate(den):
+            rows[i][(i - j) % period] += Fraction(x)
+    for col in range(period):
+        pivot = next(r for r in range(col, period) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(period):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][period] / rows[i][i] for i in range(period)]
+
+
+def fold_error_bound(g, period: int) -> np.ndarray:
+    """The stated error bound of the closed-form rational fold, entry by entry.
+
+    For each mode (pole c of multiplicity m, coefficients b_j, error radius R >= |c| and
+    amplitudes A_j >= |b_j|), with F_j(i) = sum_s C(i + sP, j) R^(i + sP - j) the fold of its
+    j-th term at R, the bound is
+
+        2 sum_j [(A_j - |b_j|) F_j(i) + A_j (R - |c|) (j + 1) F_{j+1}(i)]
+        + 64 (n + 2) u [sum_j A_j F_j(i) (1 + 1 / (1 - R^P)) + sum_{t < h, t = i mod P} |g(t)|]
+
+    summed over the modes (n the order, u the unit roundoff, h the head). The first line is
+    the first-order effect of the errors of the poles and coefficients, counted twice because
+    the head corrections carry it once more; the second is the rounding of the closed form.
+    """
+    u = 2.0**-53
+    modes, head = g._modes[:2]
+    model = np.zeros(period)
+    scale = np.zeros(period)
+    for mode in modes:
+        c, b, R, A, anchor = mode
+        m = b.size
+        F = [_mode_fold(_Mode(R, np.eye(m + 1)[j], R, None, anchor), period) for j in range(m + 1)]
+        for j in range(m):
+            model += 2 * ((A[j] - abs(b[j])) * F[j] + A[j] * (R - abs(c)) * (j + 1) * F[j + 1])
+            scale += A[j] * F[j] * (1 + 1 / (1 - R**period))
+    np.add.at(scale, np.arange(head.size) % period, np.abs(head))
+    return model + 64 * (g.den.size + 1) * u * scale
 
 
 def exact_geometric_fixed_point(ratio, delay: int, pattern, dead_zone=0) -> bool:

@@ -26,8 +26,6 @@ from relayosc.analyzer import (
     find_oscillations,
     period_bounds,
     period_records,
-    report_from_dict,
-    subharmonic_periods,
     verify_fixed_point,
 )
 from relayosc.config import DEFAULTS
@@ -40,7 +38,9 @@ from conftest import (
     reference_brute_force_fixed_points,
     reference_period_records,
     reference_unimodal_patterns,
+    report_from_dict,
     responses,
+    subharmonic_periods,
     time_limit,
 )
 
@@ -737,9 +737,14 @@ def fraction_fixed(plant, pattern):
 
 
 def batch_size_example():
-    """1/(1 - 0.5155147400105061 z^-1) at delay 5, a few ulps below its threshold."""
+    """1/(1 - 0.5155147400105061 z^-1) at delay 5, 8 ulps below its threshold.
+
+    The dead zone lies halfway between two roundings of entry 6 of K s for the pattern of
+    ``test_the_batch_size_no_longer_decides``: the 3^10-row product, which puts it inside, and
+    its exact sum, which clears it by 1.4e-17; the one-row product clears it too.
+    """
     g = ImpulseResponse.from_rational([1.0, 0.0], [1.0, -0.5155147400105061])
-    return PlantSpec.from_response(g, 5, 0.010712959694935797)
+    return PlantSpec.from_response(g, 5, 0.010712959694936089)
 
 
 class TestOneJudge:
@@ -786,7 +791,7 @@ class TestOneJudge:
         assert found[0] == found[1]
 
     def test_the_batch_size_no_longer_decides(self):
-        # entry 6 lies 5e-17 inside the dead zone: a product over 3^10 rows and one over this row
+        # entry 6 clears the dead zone by 1.4e-17: a product over 3^10 rows and one over this row
         # alone round it to opposite sides of the edge, and its exact sum settles it
         plant = batch_size_example()
         pattern = (-1,) + (1,) * 5 + (-1,) * 4
@@ -794,6 +799,21 @@ class TestOneJudge:
         assert pattern in brute_force_fixed_points(plant, 10)
         assert verify_fixed_point(plant, pattern) is not None
         assert canonical_rotation(pattern) in {r.pattern for r in period_records(plant, 10)}
+
+
+class TestTwins:
+    def test_geometric_and_rational_twins_agree(self):
+        # z/(z - r) folds to the bits of geometric r and its tail bound differs by the pole's error
+        # radius only: the same bounds at delays 1-12 for 200 ratios, the same records for 40
+        for k, ratio in enumerate(np.random.default_rng(17).uniform(0.05, 0.995, 200).tolist()):
+            geometric, rational = (p.g0 for p in twin_plants(ratio, 1))
+            assert dominance_index(geometric) == dominance_index(rational), ratio
+            for delay in range(1, 13):
+                bounds = [(period_bounds(p), default_pmax(p)) for p in twin_plants(ratio, delay)]
+                assert bounds[0] == bounds[1], (ratio, delay)
+            if k < 40:
+                reports = [find_oscillations(p) for p in twin_plants(ratio, 1 + k % 12)]
+                assert record_keys(reports[0].records) == record_keys(reports[1].records), ratio
 
 
 class TestFindOscillations:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from relayosc.certificates import (
-    check_unimodal_preservation,
-    open_loop_variation_check,
-    random_unimodal_vector,
-    variation_bounding_conditions,
-)
+from relayosc.certificates import open_loop_variation_check, variation_bounding_conditions
 from relayosc.lti import ImpulseResponse, PlantSpec, circulant, periodic_summation
 from relayosc.variation import cyclic_diff, cyclic_sign_changes
 
-from conftest import column_cyclic_changes, column_cyclic_diff
+from conftest import (
+    check_unimodal_preservation,
+    column_cyclic_changes,
+    column_cyclic_diff,
+    random_unimodal_vector,
+)
 
 
 def exhaustive_low_variation_family(n: int) -> np.ndarray:
@@ -41,7 +41,7 @@ class TestVariationBoundingConditions:
     def test_folded_decaying_kernels_pass(self):
         for ratio in (0.1, 0.5, 0.9):
             for period in (4, 5, 8, 13):
-                gb = periodic_summation(ImpulseResponse.geometric(ratio), period).values
+                gb = periodic_summation(ImpulseResponse.geometric(ratio), period)
                 assert variation_bounding_conditions(gb).passed
 
     def test_alternating_generator_fails_with_witness(self):

@@ -9,7 +9,9 @@ import pytest
 
 import relayosc
 from relayosc import analyzer, cli
-from relayosc.analyzer import report_from_dict, verify_fixed_point
+from relayosc.analyzer import verify_fixed_point
+
+from conftest import report_from_dict
 
 
 def test_module_entry_point():
@@ -24,6 +26,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "monotone decay: PASS" in proc.stdout
+
+
+def test_an_overflowing_response_is_refused_without_warnings():
+    # the absolute sum 2.7e308 overflows: one error line, exit 1, and no numpy RuntimeWarning
+    src = os.path.dirname(os.path.dirname(relayosc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "relayosc.cli", "analyze", "--samples", "1.7e308,1e308"]
+        + ["--delay", "1", "--pmax", "4"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.fixture
@@ -343,7 +361,7 @@ def test_help_still_exits_0(capsys):
     [
         (["--geometric", "0.5992479820325187"], "0.29486613586039423"),
         (["--geometric", "0.5967006291221685"], "0.2974070888933513"),
-        (["--rational", "1,0/1,-0.5967006291221685"], "0.29740708889335116"),
+        (["--rational", "1,0/1,-0.5967006291221685"], "0.2974070888933513"),
         (["--geometric", "0.6145925654416112"], "0.2797421171040235"),
         (["--geometric", "0.5989733406586771"], "0.29513967480911246"),
     ],

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,19 +13,25 @@ from relayosc.lti import (
     UnstablePlantError,
     check_monotone_decay,
     circulant,
-    circulant_apply,
     cyclic_shift,
     factor_delay,
     is_convex_on_support,
-    load_plant,
     loop_gain,
     loop_matrix,
     periodic_summation,
     relative_degree,
-    save_plant,
 )
 
-from conftest import direct_periodic_summation, reference_rational_head
+from conftest import (
+    circulant_apply,
+    direct_periodic_summation,
+    exact_rational_fold,
+    fold_error_bound,
+    load_plant,
+    reference_rational_head,
+    save_plant,
+    time_limit,
+)
 
 
 def two_lags(k1=1.0, k2=0.5, p1=0.5, p2=0.2):
@@ -118,10 +125,13 @@ class TestImpulseResponse:
         assert [g.sample(t) for t in range(-2, 6)] == [0.0, 0.0, *window]
         assert g.sample(10**9) == 0.0
 
-    def test_envelope_past_the_cap_is_loud(self):
-        # the envelope scan would need about 4e7 samples to certify its constant
-        with pytest.raises(TruncationError):
-            ImpulseResponse.from_rational([1, 0], [1, -0.999999]).tail_bound(0)
+    def test_horizon_past_the_cap_is_loud(self):
+        # the tail bound is closed-form at once; reaching 1e-12 would take about 4e7 samples
+        g = ImpulseResponse.from_rational([1, 0], [1, -0.999999])
+        with time_limit(1.0):
+            assert g.tail_bound(0) == pytest.approx(1e6, rel=1e-7)
+            with pytest.raises(TruncationError):
+                g.horizon(1e-12)
 
 
 @st.composite
@@ -147,6 +157,61 @@ requests = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+@st.composite
+def closed_form_responses(draw):
+    """A rational response: any of :func:`rational_responses`, or a slow pole in 0.99-0.9999 beside
+    a faster one, a double pole, or a complex pair, each over a random second-order numerator."""
+    kind = draw(st.sampled_from(["any", "slow", "double", "complex"]))
+    if kind == "any":
+        return draw(rational_responses())
+    if kind == "slow":
+        poles = [draw(st.floats(0.99, 0.9999)), draw(st.floats(-0.9, 0.9))]
+    elif kind == "double":
+        poles = [draw(st.floats(-0.95, 0.95))] * 2
+    else:
+        pole = draw(st.floats(0.1, 0.95)) * np.exp(1j * draw(st.floats(0.05, 3.1)))
+        poles = [pole, np.conj(pole)]
+    num = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3), min_size=3, max_size=3))
+    return ImpulseResponse.from_rational(num, np.real(np.poly(poles)))
+
+
+class TestClosedForm:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(closed_form_responses(), st.lists(st.integers(0, 60), min_size=1, max_size=4))
+    def test_tail_bound_covers_the_summed_tail(self, g, starts):
+        # every float sample from start to 20 000 (4 000 unless a pole reaches 0.99), summed exactly
+        samples = np.abs(g.samples(20_000 if np.abs(g.poles).max() >= 0.99 else 4_000)).tolist()
+        tail, end = Fraction(0), len(samples)
+        for start in sorted(starts, reverse=True):
+            tail += sum(map(Fraction, samples[start:end]), Fraction(0))
+            end = start
+            assert Fraction(g.tail_bound(start)) >= tail, start
+        assert np.array_equal(g.tail_bounds(starts), [g.tail_bound(t) for t in starts])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(closed_form_responses(), st.integers(1, 12))
+    def test_fold_is_within_its_stated_bound_of_the_exact_fold(self, g, period):
+        exact = exact_rational_fold(g.num.tolist(), g.den.tolist(), period)
+        bound = fold_error_bound(g, period)
+        for got, want, allowed in zip(periodic_summation(g, period).tolist(), exact, bound.tolist()):
+            assert abs(Fraction(got) - want) <= Fraction(allowed)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ImpulseResponse.from_samples([1.7e308, 1e308]),
+            lambda: ImpulseResponse.from_rational([1e308, 1e308], [1.0, -0.9]),
+            lambda: periodic_summation(ImpulseResponse.from_rational([1e308, 0.0], [1.0, -0.5]), 3),
+            lambda: ImpulseResponse.from_rational([1e308, 0.0], [1.0, -0.5]).tail_bound(5),
+        ],
+        ids=["samples", "rational-transient", "rational-fold", "rational-tail"],
+    )
+    def test_an_overflowing_absolute_sum_is_refused(self, build):
+        # a ValueError where the sum is formed, before numpy warns (warnings are errors here)
+        with pytest.raises(ValueError, match="absolute sum is not finite"):
+            build()
 
 
 class TestRationalSampleStream:
@@ -249,29 +314,31 @@ class TestPeriodicSummation:
         g = ImpulseResponse.geometric(0.1)
         ps = periodic_summation(g, 6)
         direct = direct_periodic_summation(g.sample, 6, terms=50)
-        np.testing.assert_allclose(ps.values, direct, rtol=1e-12)
-        np.testing.assert_allclose(ps.values, 0.1 ** np.arange(6) / (1 - 1e-6), rtol=1e-13)
+        np.testing.assert_allclose(ps, direct, rtol=1e-12)
+        np.testing.assert_allclose(ps, 0.1 ** np.arange(6) / (1 - 1e-6), rtol=1e-13)
 
     def test_unit_pulse(self):
         ps = periodic_summation(ImpulseResponse.from_samples([1.0]), 4)
-        np.testing.assert_array_equal(ps.values, [1, 0, 0, 0])
-        assert ps.residual == 0.0
+        np.testing.assert_array_equal(ps, [1, 0, 0, 0])
 
     def test_slow_geometric(self):
         ps = periodic_summation(ImpulseResponse.geometric(0.9), 2)
-        np.testing.assert_allclose(ps.values, np.array([1.0, 0.9]) / (1 - 0.81), rtol=1e-14)
-        np.testing.assert_allclose(ps.values, [5.2632, 4.7368], atol=5e-5)
+        np.testing.assert_allclose(ps, np.array([1.0, 0.9]) / (1 - 0.81), rtol=1e-14)
+        np.testing.assert_allclose(ps, [5.2632, 4.7368], atol=5e-5)
 
     def test_rational_matches_geometric(self):
-        a = periodic_summation(ImpulseResponse.from_rational([1, 0], [1, -0.3]), 5, tol=1e-13)
+        # a simple pole folds as b c^i / (1 - c^P), the geometric formula itself
+        a = periodic_summation(ImpulseResponse.from_rational([1, 0], [1, -0.3]), 5)
         b = periodic_summation(ImpulseResponse.geometric(0.3), 5)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
-        assert a.residual < 1e-13
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_truncation_failure_is_loud(self):
+        # z/(z - 0.999999) folds in closed form at once; the loud path left is a horizon past the cap
         g = ImpulseResponse.from_rational([1, 0], [1, -0.999999])
-        with pytest.raises(TruncationError):
-            periodic_summation(g, 3, tol=1e-14)
+        with time_limit(1.0):
+            np.testing.assert_allclose(periodic_summation(g, 3), 0.999999 ** np.arange(3) / (1 - 0.999999**3), rtol=1e-9)
+            with pytest.raises(TruncationError):
+                g.horizon(1e-14)
 
     def test_folded_kernel_positive_and_decreasing(self):
         # the property every fixed-point argument leans on
@@ -282,14 +349,14 @@ class TestPeriodicSummation:
         ):
             assert check_monotone_decay(g).passed
             for period in (2, 3, 7, 12):
-                vals = periodic_summation(g, period).values
+                vals = periodic_summation(g, period)
                 assert np.all(vals > 0)
                 assert np.all(np.diff(vals) < 0)
 
     def test_fast_kernel_leading_product_entry(self):
         # first entry of the folded-kernel circulant against the
         # half-and-half pattern, the scalar behind the threshold example
-        gb = periodic_summation(ImpulseResponse.geometric(0.1), 6).values
+        gb = periodic_summation(ImpulseResponse.geometric(0.1), 6)
         first = circulant_apply(gb, np.array([1.0, 1, 1, -1, -1, -1]))[0]
         assert first == pytest.approx(0.88911, abs=5e-6)
 
@@ -326,7 +393,7 @@ class TestCirculant:
         g = ImpulseResponse.geometric(0.5)
         period = 4
         u = rng.normal(size=period)
-        gb = periodic_summation(g, period).values
+        gb = periodic_summation(g, period)
         y = circulant_apply(gb, u)
         for t in range(period):
             acc = 0.0
@@ -392,7 +459,7 @@ class TestLoopGain:
             delay = int(rng.integers(0, 15))
             s = rng.integers(-1, 2, size=period).astype(float)
             plant = PlantSpec(g, delay)
-            gb = periodic_summation(g, period).values
+            gb = periodic_summation(g, period)
             folded = -circulant_apply(cyclic_shift(gb, delay % period), s)
             np.testing.assert_allclose(loop_gain(plant, s), folded, rtol=1e-13, atol=1e-15)
 
