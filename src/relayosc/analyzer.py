@@ -206,37 +206,41 @@ class OscillationReport:
 _DOMINANCE_CAP = 1_000_000
 
 
-def dominance_index(g0: ImpulseResponse, tol: float = DEFAULTS.tol) -> int:
+def dominance_index(g0: ImpulseResponse) -> int:
     """Smallest t >= 1 whose leading partial sum strictly outweighs the tail.
 
     That is, the first t with sum_{k<t} g0(k) - sum_{k>=t} g0(k) > 0,
-    the tail evaluated through the certified bound. The gap must clear
-    ``tol`` to count as positive; if it hovers inside the tolerance band
-    past the horizon, or the tail bound reaches zero first, the call
-    fails rather than guess. The walk goes in blocks of doubling length:
-    ``np.cumsum`` adds the samples one after the other, as a plain loop
-    would, and :meth:`ImpulseResponse.tail_bounds` bounds a block's tails
-    at once.
+    the tail evaluated through the certified bound. The gap counts as
+    positive when it clears the rounding of the partial sum and of the
+    subtraction, (t + 2) u sum_{k<t} |g0(k)| (u = 2^-53), which scales
+    with the response, so scaling the gain leaves the index unchanged. If
+    the tail bound reaches zero first, or the walk passes
+    ``_DOMINANCE_CAP``, the call fails rather than guess. The walk goes
+    in blocks of doubling length: ``np.cumsum`` adds the samples one after
+    the other, as a plain loop would, and
+    :meth:`ImpulseResponse.tail_bounds` bounds a block's tails at once.
     """
-    acc, start, block = 0.0, 1, 4
+    acc, mass, start, block = 0.0, 0.0, 1, 4
     while start <= _DOMINANCE_CAP:
         stop = min(start + block, _DOMINANCE_CAP + 1)
         t = np.arange(start, stop)
-        sums = np.cumsum(np.concatenate(([acc], g0.samples(stop - 1)[start - 1 :])))[1:]
+        head = g0.samples(stop - 1)[start - 1 :]
+        sums = np.cumsum(np.concatenate(([acc], head)))[1:]
+        masses = np.cumsum(np.concatenate(([mass], np.abs(head))))[1:]
         tails = g0.tail_bounds(t)
         # certified lower enclosure of the gap: partial sum minus tail bound
-        won = sums - tails > tol
+        won = sums - tails > (t + 2) * 2.0**-53 * masses
         ends = np.flatnonzero(won | (tails == 0.0))
         if ends.size:
             if won[ends[0]]:
                 return int(t[ends[0]])
-            # nothing is left to add, so no later t can clear tol
+            # nothing is left to add, so no later t can win
             raise TruncationError("partial sum never outweighs the tail: the tail bound is exhausted")
-        acc, start, block = sums[-1], stop, 2 * block
+        acc, mass, start, block = sums[-1], masses[-1], stop, 2 * block
     raise TruncationError("partial-sum dominance undecidable within the horizon")
 
 
-def period_bounds(plant: PlantSpec, tol: float = DEFAULTS.tol) -> PeriodBounds:
+def period_bounds(plant: PlantSpec) -> PeriodBounds:
     """Period window for single-peaked oscillations with P >= delay.
 
     Requires delay >= 1. The convex tightening is attached whenever the
@@ -245,8 +249,8 @@ def period_bounds(plant: PlantSpec, tol: float = DEFAULTS.tol) -> PeriodBounds:
     """
     if plant.delay < 1:
         raise ValueError("period bounds require a positive delay")
-    ps = dominance_index(plant.g0, tol)
-    convex = is_convex_on_support(plant.g0, tol)
+    ps = dominance_index(plant.g0)
+    convex = is_convex_on_support(plant.g0)
     return PeriodBounds(
         delay=plant.delay,
         dominance_index=ps,
@@ -256,20 +260,20 @@ def period_bounds(plant: PlantSpec, tol: float = DEFAULTS.tol) -> PeriodBounds:
     )
 
 
-def default_pmax(plant: PlantSpec, tol: float = DEFAULTS.tol) -> int:
+def default_pmax(plant: PlantSpec) -> int:
     """Default sweep ceiling: the provable upper bound plus ``DEFAULTS.pmax_slack``.
 
     Nothing single-peaked exists beyond the bound, so the slack exists
     to detect bound violations as loud failures instead of silence.
     """
-    return _bounds_and_pmax(plant, tol)[1]
+    return _bounds_and_pmax(plant)[1]
 
 
-def _bounds_and_pmax(plant: PlantSpec, tol: float) -> tuple[Optional[PeriodBounds], int]:
+def _bounds_and_pmax(plant: PlantSpec) -> tuple[Optional[PeriodBounds], int]:
     """(the period bounds, None without a delay; the default pmax derived from them)."""
     if plant.delay < 1:
-        return None, 2 * (1 + dominance_index(plant.g0, tol)) + DEFAULTS.pmax_slack
-    bounds = period_bounds(plant, tol)
+        return None, 2 * (1 + dominance_index(plant.g0)) + DEFAULTS.pmax_slack
+    bounds = period_bounds(plant)
     return bounds, bounds.upper + DEFAULTS.pmax_slack
 
 
@@ -332,7 +336,7 @@ def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
     )
 
 
-def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> Optional[OscillationRecord]:
+def verify_fixed_point(plant: PlantSpec, pattern) -> Optional[OscillationRecord]:
     """Check one relay pattern as a fixed point of the loop, through :func:`_judge`.
 
     Returns a record when the relay image of the loop response equals
@@ -345,7 +349,7 @@ def verify_fixed_point(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> 
         raise ValueError("pattern must have at least two entries")
     if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
         raise ValueError("pattern entries must lie in {-1, 0, +1}")
-    K = loop_matrix(plant, s.size, tol)
+    K = loop_matrix(plant, s.size)
     u = _judge(K, s, plant.dead_zone, _rounding_bound(s.size, float(np.abs(K).sum(axis=1).max())))
     if u is None:
         return None
@@ -476,20 +480,20 @@ def _batch_records(plant: PlantSpec, folds: dict, prune_sign_symmetric: bool) ->
     return out
 
 
-def _fold(plant: PlantSpec, period: int, tol: float) -> tuple[np.ndarray, float]:
+def _fold(plant: PlantSpec, period: int) -> tuple[np.ndarray, float]:
     """(the loop generator c at one period, the tau of the screen and the judge for it)."""
-    c = loop_generator(plant, period, tol)
+    c = loop_generator(plant, period)
     return c, _rounding_bound(period, float(np.abs(c).sum()))
 
 
-def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool, tol: float) -> list[OscillationRecord]:
+def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool) -> list[OscillationRecord]:
     """The analyzer over ``periods`` in order: fold each, screen in batches, judge the survivors."""
     records: list[OscillationRecord] = []
     folds: dict = {}
     rows = 0
     with np.errstate(over="ignore"):  # a fold whose absolute sum overflows is refused by _rounding_bound
         for period in periods:
-            folds[period] = _fold(plant, period, tol)
+            folds[period] = _fold(plant, period)
             rows += 4 * period
             if rows >= _SCREEN_ROWS or period == periods[-1]:
                 records.extend(_batch_records(plant, folds, prune_sign_symmetric))
@@ -497,22 +501,20 @@ def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool, tol: float) ->
     return records
 
 
-def period_records(
-    plant: PlantSpec, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol
-) -> list[OscillationRecord]:
+def period_records(plant: PlantSpec, period: int, prune_sign_symmetric: bool = False) -> list[OscillationRecord]:
     """The analyzer at one period: screen every candidate, judge the survivors (:func:`_judge`)."""
-    return _sweep(plant, [period], prune_sign_symmetric, tol)
+    return _sweep(plant, [period], prune_sign_symmetric)
 
 
-def _base_waveform(plant: PlantSpec, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _base_waveform(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
     """(the half-and-half pattern s at period twice the delay, the exact sums u of its loop response)."""
     if plant.delay < 1:
         raise ValueError("the base oscillation needs a positive delay")
     s = np.repeat([1.0, -1.0], plant.delay)
-    return s, _exact_sums(loop_matrix(plant, s.size, tol), s)
+    return s, _exact_sums(loop_matrix(plant, s.size), s)
 
 
-def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool:
+def exists_base_oscillation(plant: PlantSpec) -> bool:
     """Existence of the oscillation with period exactly twice the delay.
 
     Decided by a single scalar: the loop response to the half-and-half
@@ -521,7 +523,7 @@ def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool
     must agree (u[i + delay] = -u[i] holds exactly); a mismatch would
     falsify the scalar criterion and raises InternalCheckError.
     """
-    s, u = _base_waveform(plant, tol)
+    s, u = _base_waveform(plant)
     scalar = -float(u[plant.delay])
     exists = scalar > plant.dead_zone
     verified = np.array_equal(relay_vec(u, plant.dead_zone), s)
@@ -533,7 +535,7 @@ def exists_base_oscillation(plant: PlantSpec, tol: float = DEFAULTS.tol) -> bool
     return exists
 
 
-def dead_zone_threshold(plant: PlantSpec, tol: float = DEFAULTS.tol) -> float:
+def dead_zone_threshold(plant: PlantSpec) -> float:
     """Largest dead zone below which the base-period family persists.
 
     Equals the delay-th largest entry of minus the loop response to the
@@ -541,11 +543,11 @@ def dead_zone_threshold(plant: PlantSpec, tol: float = DEFAULTS.tol) -> float:
     the base-period waveform. In exact sums, as the existence test reads
     them: where the family exists at dead zone 0, it exists exactly below.
     """
-    _, u = _base_waveform(plant, tol)
+    _, u = _base_waveform(plant)
     return float(np.sort(-u)[::-1][plant.delay - 1])
 
 
-def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict:
+def check_absence(plant: PlantSpec) -> AbsenceVerdict:
     """Zero-delay loops with monotone decay admit no single-peaked oscillation.
 
     Applicable when the loop has no pure delay (the response starts at a
@@ -554,7 +556,7 @@ def check_absence(plant: PlantSpec, tol: float = DEFAULTS.tol) -> AbsenceVerdict
     """
     if plant.delay != 0:
         return AbsenceVerdict(False, f"loop carries a pure delay of {plant.delay}")
-    decay = check_monotone_decay(plant.g0, tol=tol)
+    decay = check_monotone_decay(plant.g0)
     if not decay.passed:
         return AbsenceVerdict(
             False, "absence test inapplicable: " + "; ".join(decay.notes or ("decay check failed",))
@@ -611,12 +613,7 @@ def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float) -
     return np.vstack(survivors)
 
 
-def brute_force_fixed_points(
-    plant: PlantSpec,
-    period: int,
-    cap: int = DEFAULTS.oracle_cap,
-    tol: float = DEFAULTS.tol,
-) -> list[tuple[int, ...]]:
+def brute_force_fixed_points(plant: PlantSpec, period: int, cap: int = DEFAULTS.oracle_cap) -> list[tuple[int, ...]]:
     """Every fixed sign pattern at one period, by exhausting all 3^P of them.
 
     Enumerates each candidate individually (no rotation pruning, no
@@ -646,7 +643,7 @@ def brute_force_fixed_points(
         raise ValueError("period must be positive")
     if period > cap:
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
-    K = loop_matrix(plant, period, tol)
+    K = loop_matrix(plant, period)
     tau = _rounding_bound(period, float(np.abs(K).sum(axis=1).max()))
     found = set()
     for row in _oracle_screen(K.T, min(period, _ORACLE_CHUNK), plant.dead_zone, tau).tolist():
@@ -655,13 +652,13 @@ def brute_force_fixed_points(
     return sorted(found)
 
 
-def oracle_families(plant: PlantSpec, period: int, matched, tol: float = DEFAULTS.tol) -> list[OracleEntry]:
+def oracle_families(plant: PlantSpec, period: int, matched) -> list[OracleEntry]:
     """Every fixed pattern family the oracle finds at one period, by canonical rotation.
 
     ``in_analyzer`` states whether a family is among ``matched``, the
     analyzer's record patterns at that period. Uncapped: callers cap it.
     """
-    fixed = brute_force_fixed_points(plant, period, cap=period, tol=tol)
+    fixed = brute_force_fixed_points(plant, period, cap=period)
     return [
         OracleEntry(period, canon, max_cyclic_sign_changes(np.asarray(canon, float)) == 2, canon in matched)
         for canon in sorted({canonical_rotation(p) for p in fixed})
@@ -707,7 +704,6 @@ def find_oscillations(
     pmax: Optional[int] = None,
     prune_sign_symmetric: bool = False,
     oracle_pmax: int = 0,
-    tol: float = DEFAULTS.tol,
 ) -> OscillationReport:
     """Sweep all single-peaked patterns up to ``pmax`` and verify fixed points.
 
@@ -722,15 +718,15 @@ def find_oscillations(
     """
     bounds = None
     if pmax is None:
-        bounds, pmax = _bounds_and_pmax(plant, tol)
+        bounds, pmax = _bounds_and_pmax(plant)
     if pmax < 2:
         raise ValueError("pmax must be at least 2")
-    records = _sweep(plant, range(2, pmax + 1), prune_sign_symmetric, tol)
+    records = _sweep(plant, range(2, pmax + 1), prune_sign_symmetric)
     records.sort(key=lambda r: (r.period, r.pattern))
 
     if bounds is None and plant.delay >= 1:
-        bounds = period_bounds(plant, tol)
-    absence = check_absence(plant, tol) if plant.delay == 0 else None
+        bounds = period_bounds(plant)
+    absence = check_absence(plant) if plant.delay == 0 else None
 
     violations: list[str] = []
     for rec in records:
@@ -747,7 +743,7 @@ def find_oscillations(
     effective_oracle = min(oracle_pmax, pmax)
     for period in range(2, effective_oracle + 1):
         matched = {r.pattern for r in records if r.period == period}
-        families = oracle_families(plant, period, matched, tol)
+        families = oracle_families(plant, period, matched)
         for entry in (e for e in families if not e.in_analyzer):
             oracle_entries.append(entry)
             if entry.pattern_unimodal:

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULTS
 from .lti import PlantSpec, check_monotone_decay, loop_gain
 from .variation import (
     cyclic_diff,
@@ -113,7 +112,7 @@ class LoopInvarianceReport:
         return True
 
 
-def open_loop_variation_check(plant: PlantSpec, u, tol: float = DEFAULTS.tol) -> LoopInvarianceReport:
+def open_loop_variation_check(plant: PlantSpec, u) -> LoopInvarianceReport:
     """Check the loop response of a candidate periodic waveform.
 
     Computes one period of the loop gain driven by relay(u) and reports
@@ -126,7 +125,7 @@ def open_loop_variation_check(plant: PlantSpec, u, tol: float = DEFAULTS.tol) ->
     x = np.asarray(u, dtype=float)
     notes: list[str] = []
     pattern = relay_vec(x, plant.dead_zone)
-    decay = check_monotone_decay(plant.g0, tol=tol)
+    decay = check_monotone_decay(plant.g0)
     if not decay.passed:
         notes.append("plant response is not certified monotonically decaying")
     if not np.any(x != 0.0):
@@ -135,7 +134,7 @@ def open_loop_variation_check(plant: PlantSpec, u, tol: float = DEFAULTS.tol) ->
         notes.append("waveform is not single-peaked (difference variation != 2)")
     if max_cyclic_sign_changes(pattern) != 2:
         notes.append("relay pattern is not single-peaked (zero-resolved variation != 2)")
-    response = loop_gain(plant, pattern, tol=tol)
+    response = loop_gain(plant, pattern)
     symmetric = is_sign_symmetric(pattern)
     return LoopInvarianceReport(
         preconditions_ok=not notes,

@@ -22,6 +22,7 @@ from .config import DEFAULTS
 from .simulate import SimulationError, _check_inputs, classify, detect_period, simulate
 from .lti import (
     PlantSpec,
+    TruncationError,
     UnstablePlantError,
     check_monotone_decay,
     is_convex_on_support,
@@ -93,16 +94,16 @@ def cmd_check_plant(args) -> int:
     print(f"dead zone: {_fmt(plant.dead_zone)}")
     print(f"leading sample: {_fmt(g0.sample(0))}")
     print(f"l1 bound: {_fmt(g0.l1_bound())}")
-    verdict = check_monotone_decay(g0, tol=args.tol)
+    verdict = check_monotone_decay(g0)
     print(f"monotone decay: {'PASS' if verdict.passed else 'FAIL'}")
     for note in verdict.notes:
         print(f"  - {note}")
-    print(f"convex on support: {'yes' if is_convex_on_support(g0, tol=args.tol) else 'no'}")
+    print(f"convex on support: {'yes' if is_convex_on_support(g0) else 'no'}")
     return 0
 
 
-def _require_decay(plant: PlantSpec, tol: float) -> None:
-    verdict = check_monotone_decay(plant.g0, tol=tol)
+def _require_decay(plant: PlantSpec) -> None:
+    verdict = check_monotone_decay(plant.g0)
     if not verdict.passed:
         reasons = "; ".join(verdict.notes) or "decay check failed"
         raise ValueError(f"analysis requires a monotonically decaying response ({reasons})")
@@ -152,10 +153,10 @@ def _records_csv(report) -> str:
 
 def cmd_analyze(args) -> int:
     plant = _build_plant(args)
-    _require_decay(plant, args.tol)
+    _require_decay(plant)
     oracle_pmax = min(DEFAULTS.analyze_oracle_pmax, args.oracle_cap)  # find_oscillations caps it at pmax
     report = analyzer.find_oscillations(
-        plant, pmax=args.pmax, prune_sign_symmetric=args.prune, oracle_pmax=oracle_pmax, tol=args.tol
+        plant, pmax=args.pmax, prune_sign_symmetric=args.prune, oracle_pmax=oracle_pmax
     )
     for line in _report_summary(report):
         print(line)
@@ -170,14 +171,14 @@ def cmd_analyze(args) -> int:
     return 2 if report.violations else 0
 
 
-def _sweep_cell(spec: dict, delay: int, dead_zone: float, pmax, prune: bool, tol: float):
+def _sweep_cell(spec: dict, delay: int, dead_zone: float, pmax, prune: bool):
     """One (delay, dead zone) cell, built as ``analyze`` builds its plant.
 
     Module-level so worker pools can pickle it. Points and bounds carry
     the loop delay, which includes any pure delay of the response.
     """
     plant = PlantSpec.from_dict({**spec, "delay": delay, "dead_zone": dead_zone})
-    report = analyzer.find_oscillations(plant, pmax=pmax, prune_sign_symmetric=prune, tol=tol)
+    report = analyzer.find_oscillations(plant, pmax=pmax, prune_sign_symmetric=prune)
     points = sorted({(plant.delay, rec.period) for rec in report.records})
     bounds = report.bounds
     return {
@@ -199,8 +200,8 @@ def cmd_sweep(args) -> int:
     if not delays or not zones:
         raise ValueError("sweep ranges must be nonempty")
     spec = _build_spec(args)
-    _require_decay(PlantSpec.from_dict({**spec, "delay": delays[0], "dead_zone": zones[0]}), args.tol)
-    cells = [(spec, d, z, args.pmax, args.prune, args.tol) for z in zones for d in delays]
+    _require_decay(PlantSpec.from_dict({**spec, "delay": delays[0], "dead_zone": zones[0]}))
+    cells = [(spec, d, z, args.pmax, args.prune) for z in zones for d in delays]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_cell, *zip(*cells)))
@@ -293,8 +294,8 @@ def cmd_oracle(args) -> int:
         )
     print("period,pattern,single_peaked,in_analyzer")
     for period in range(2, pmax + 1):
-        matched = {r.pattern for r in analyzer.period_records(plant, period, tol=args.tol)}
-        for entry in analyzer.oracle_families(plant, period, matched, args.tol):
+        matched = {r.pattern for r in analyzer.period_records(plant, period)}
+        for entry in analyzer.oracle_families(plant, period, matched):
             print(
                 f"{period},{' '.join(str(x) for x in entry.pattern)},"
                 f"{int(entry.pattern_unimodal)},{int(entry.in_analyzer)}"
@@ -309,7 +310,6 @@ _FLAGS = {
     "format": dict(choices=("json", "csv"), default="json", help="report format for --out"),
     "out": dict(help="output path"),
     "seed-file": dict(help="JSON file with relay seed histories"),
-    "tol": dict(type=float, default=DEFAULTS.tol, help="tail tolerance of the dominance gap and the decay windows"),
     "oracle-cap": dict(
         type=int, default=DEFAULTS.oracle_cap, help="largest period the exhaustive oracle may attempt"
     ),
@@ -322,11 +322,11 @@ _FLAGS = {
 
 #: each verb's handler and the flags it reads besides the plant source
 _VERBS = {
-    "check-plant": (cmd_check_plant, ("tol",)),
-    "analyze": (cmd_analyze, ("pmax", "format", "out", "tol", "oracle-cap", "prune")),
-    "sweep": (cmd_sweep, ("pmax", "out", "tol", "prune", "workers")),
+    "check-plant": (cmd_check_plant, ()),
+    "analyze": (cmd_analyze, ("pmax", "format", "out", "oracle-cap", "prune")),
+    "sweep": (cmd_sweep, ("pmax", "out", "prune", "workers")),
     "simulate": (cmd_simulate, ("out", "seed-file", "steps", "detect-tol", "seed")),
-    "oracle": (cmd_oracle, ("pmax", "tol", "oracle-cap")),
+    "oracle": (cmd_oracle, ("pmax", "oracle-cap")),
 }
 
 
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         if getattr(args, "pmax", None) is not None and args.pmax < 2:  # as find_oscillations refuses it
             raise ValueError("pmax must be at least 2")
         return _VERBS[args.command][0](args)
-    except (ValueError, OSError, KeyError, UnstablePlantError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, UnstablePlantError, TruncationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except analyzer.InternalCheckError as exc:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Defaults:
-    #: tail tolerance: the dominance gap and the geometric and finite decay windows
-    tol: float = 1e-12
     #: waveform repetition tolerance for steady-state detection
     detect_tol: float = 1e-9
     #: refuse the exhaustive 3^P oracle beyond this period

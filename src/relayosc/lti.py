@@ -25,8 +25,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import DEFAULTS
-
 __all__ = [
     "UnstablePlantError",
     "TruncationError",
@@ -398,28 +396,6 @@ class ImpulseResponse:
         """Upper bound on the total absolute sum of the response."""
         return self._modes[3] if self.kind == RATIONAL else self.tail_bound(0)
 
-    def horizon(self, tol: float) -> int:
-        """Smallest n (power-of-two refined) with tail_bound(n) < tol."""
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.tail_bound(0) < tol:
-            return 1
-        n = 1
-        while self.tail_bound(n) >= tol:
-            n *= 2
-            if n > MAX_HORIZON:
-                raise TruncationError(
-                    f"tail bound cannot reach {tol:g} within {MAX_HORIZON} samples"
-                )
-        lo, hi = n // 2, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.tail_bound(mid) < tol:
-                hi = mid
-            else:
-                lo = mid + 1
-        return hi
-
     def _decay_window(self) -> Optional[int]:
         """Samples of a rational response past which it is certified positive, falling and convex.
 
@@ -510,10 +486,10 @@ def factor_delay(g: ImpulseResponse) -> tuple[int, ImpulseResponse]:
     return d, core
 
 
-def periodic_summation(g: ImpulseResponse, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+def periodic_summation(g: ImpulseResponse, period: int) -> np.ndarray:
     """Fold a summable response into one period: entry i (0-based) is sum_{k>=0} g(i + k*period).
 
-    Every fold is closed-form or exact, so ``tol`` is not read. Geometric: gain r^i / (1 - r^P).
+    Every fold is closed-form or exact. Geometric: gain r^i / (1 - r^P).
     Finite supports: the samples summed per residue class. Rational: each mode of the Jordan
     form folded in closed form (:func:`_mode_fold`), plus the head corrections; a simple pole c
     with coefficient b gives b c^i / (1 - c^P), so z/(z - r) folds to the bits of geometric r.
@@ -562,30 +538,32 @@ class MonotoneDecayVerdict:
         )
 
 
-def _inspected(g: ImpulseResponse, tol: float, least: int) -> tuple[np.ndarray, bool]:
+def _inspected(g: ImpulseResponse, least: int) -> tuple[np.ndarray, bool]:
     """(the samples the decay and convexity checks inspect, whether the tail past them is certified).
 
-    Geometric and finite responses: up to where the tail bound falls below ``tol``; their shape
-    past it holds by construction. Rational: :meth:`ImpulseResponse._decay_window`, or the
-    transient and two more samples when it certifies nothing.
+    Geometric: the first ``least`` samples, as a ratio in (0, 1) and a positive gain make the
+    response positive, strictly falling and convex by construction. Finite: the whole support,
+    exactly. Rational: :meth:`ImpulseResponse._decay_window`, or the transient and two more
+    samples when it certifies nothing.
     """
-    if g.kind != RATIONAL:
-        return g.samples(max(g.horizon(tol), least)), True
+    if g.kind == GEOMETRIC:
+        return g.samples(least), True
+    if g.kind == SAMPLES:
+        return g.samples(max(g.values.size, least)), True
     size = g._decay_window()
     return g.samples(max(size or g.den.size + 2, least)), size is not None
 
 
-def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFAULTS.tol) -> MonotoneDecayVerdict:
+def check_monotone_decay(g: ImpulseResponse) -> MonotoneDecayVerdict:
     """Verify that g is summable, one-piece, positive and strictly falling.
 
     The check inspects a window of samples (:func:`_inspected`) and never
     raises on a response with a finite absolute sum; the verdict reports
-    each property separately. ``eps`` relaxes strictness: consecutive
-    samples may rise by at most eps before the decrease check fails.
+    each property separately.
     """
     notes: list[str] = []
     try:
-        window, certified = _inspected(g, tol, 2)
+        window, certified = _inspected(g, 2)
     except TruncationError:
         return MonotoneDecayVerdict(
             summable=False,
@@ -621,7 +599,7 @@ def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFA
     positive = bool(np.all(interior > 0.0))
     if not positive:
         notes.append("response is not strictly positive on its support")
-    decreasing = bool(np.all(np.diff(interior) < eps)) if interior.size > 1 else True
+    decreasing = bool(np.all(np.diff(interior) < 0.0))
     if not decreasing:
         notes.append("response is not strictly decreasing on its support")
     if not certified:
@@ -637,23 +615,27 @@ def check_monotone_decay(g: ImpulseResponse, eps: float = 0.0, tol: float = DEFA
     )
 
 
-def is_convex_on_support(g: ImpulseResponse, tol: float = DEFAULTS.tol) -> bool:
+def is_convex_on_support(g: ImpulseResponse) -> bool:
     """Second difference nonnegative at every interior point of the support.
 
     Only points whose both neighbours lie inside the support are tested,
-    so a single spike is trivially convex. When the tail shape cannot be
+    so a single spike is trivially convex. Each second difference may fall
+    below zero by 4u times the sum of its terms' magnitudes (u the unit
+    roundoff), which covers its own rounding and that of the samples, so
+    scaling the response changes no verdict. When the tail shape cannot be
     certified for the source kind the answer is False, which downstream
     merely drops an optional tightening of the period bound.
     """
-    window, certified = _inspected(g, tol, 3)
+    window, certified = _inspected(g, 3)
     if not certified:
         return False
     nz = np.flatnonzero(window)
     if nz.size == 0:
         return True
     lo, hi = int(nz[0]), int(nz[-1])
-    seg = window[lo : hi + 1]
-    return seg.size < 3 or bool(np.all(seg[2:] - 2.0 * seg[1:-1] + seg[:-2] >= -1e-12))
+    seg, mag = window[lo : hi + 1], np.abs(window[lo : hi + 1])
+    slack = 4 * _U * (mag[2:] + 2.0 * mag[1:-1] + mag[:-2])
+    return bool(np.all(seg[2:] - 2.0 * seg[1:-1] + seg[:-2] >= -slack))
 
 
 # -- circulant algebra ------------------------------------------------
@@ -726,22 +708,22 @@ class PlantSpec:
         return cls.from_response(g, int(d.get("delay", 0)), float(d.get("dead_zone", 0.0)))
 
 
-def loop_generator(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+def loop_generator(plant: PlantSpec, period: int) -> np.ndarray:
     """The generator c = roll(folded, delay mod period): relay pattern s gives -circulant(c) @ s."""
-    folded = periodic_summation(plant.g0, period, tol)
+    folded = periodic_summation(plant.g0, period)
     return cyclic_shift(folded, plant.delay % period)
 
 
-def loop_matrix(plant: PlantSpec, period: int, tol: float = DEFAULTS.tol) -> np.ndarray:
+def loop_matrix(plant: PlantSpec, period: int) -> np.ndarray:
     """The loop map at one period as a matrix K = -circulant(:func:`loop_generator`): s gives K @ s."""
-    return -circulant(loop_generator(plant, period, tol))
+    return -circulant(loop_generator(plant, period))
 
 
-def loop_gain(plant: PlantSpec, pattern, tol: float = DEFAULTS.tol) -> np.ndarray:
+def loop_gain(plant: PlantSpec, pattern) -> np.ndarray:
     """One period of the loop response to a relay output pattern: ``loop_matrix @ pattern``."""
     s = np.asarray(pattern, dtype=float)
     if s.ndim != 1 or s.size < 1:
         raise ValueError("pattern must be a nonempty vector")
     if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
         raise ValueError("pattern entries must lie in {-1, 0, +1}")
-    return loop_matrix(plant, s.size, tol) @ s
+    return loop_matrix(plant, s.size) @ s

@@ -7,9 +7,7 @@ This module implements those counts together with the relay quantizer
 with symmetric dead zone and the unimodality predicates built on them.
 
 All functions are pure, accept anything ``np.asarray`` digests, and use
-exact comparisons: an entry counts as zero only when it equals 0.0. The
-relay takes an optional tolerance for callers that need to widen the
-dead zone against rounding.
+exact comparisons: an entry counts as zero only when it equals 0.0.
 """
 
 from __future__ import annotations
@@ -151,25 +149,23 @@ def max_cyclic_sign_changes(v) -> int:
     return int(total)
 
 
-def relay(x: float, dead_zone: float, tol: float = 0.0) -> int:
+def relay(x: float, dead_zone: float) -> int:
     """Relay with symmetric dead zone: -1, 0 or +1.
 
-    Returns +1 when x > dead_zone + tol, -1 when x < -(dead_zone + tol)
-    and 0 otherwise. The inequalities are strict, so inputs landing
-    exactly on the dead-zone boundary map to 0. ``tol`` widens the dead
-    zone for callers that quantize computed (rounded) signals.
+    Returns +1 when x > dead_zone, -1 when x < -dead_zone and 0
+    otherwise. The inequalities are strict, so inputs landing exactly on
+    the dead-zone boundary map to 0.
     """
     if not dead_zone >= 0:  # NaN too: it would relay every entry to 0
         raise ValueError("dead_zone must be nonnegative")
-    edge = dead_zone + tol
-    if x > edge:
+    if x > dead_zone:
         return 1
-    if x < -edge:
+    if x < -dead_zone:
         return -1
     return 0
 
 
-def relay_vec(v, dead_zone: float, tol: float = 0.0) -> np.ndarray:
+def relay_vec(v, dead_zone: float) -> np.ndarray:
     """Entrywise relay over an array of any shape; int8 entries in {-1, 0, +1}."""
     if not dead_zone >= 0:  # NaN too: it would relay every entry to 0
         raise ValueError("dead_zone must be nonnegative")
@@ -178,8 +174,7 @@ def relay_vec(v, dead_zone: float, tol: float = 0.0) -> np.ndarray:
         raise ValueError(f"expected a nonempty array, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
-    edge = dead_zone + tol
-    return (x > edge).view(np.int8) - (x < -edge).view(np.int8)
+    return (x > dead_zone).view(np.int8) - (x < -dead_zone).view(np.int8)
 
 
 def sign_counts(v) -> tuple[int, int, int]:

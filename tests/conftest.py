@@ -28,7 +28,17 @@ from relayosc.analyzer import (
     enumerate_unimodal_patterns,
 )
 from relayosc.config import DEFAULTS
-from relayosc.lti import SAMPLES, ImpulseResponse, PlantSpec, _Mode, _mode_fold, circulant, loop_matrix
+from relayosc.lti import (
+    MAX_HORIZON,
+    SAMPLES,
+    ImpulseResponse,
+    PlantSpec,
+    TruncationError,
+    _Mode,
+    _mode_fold,
+    circulant,
+    loop_matrix,
+)
 from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
 from relayosc.variation import cyclic_diff, cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
 
@@ -377,7 +387,7 @@ def edge_band(K) -> float:
     return 64 * K.shape[0] * 2.0**-53 * float(np.abs(K).sum(axis=1).max())
 
 
-def reference_period_records(plant, period: int, prune_sign_symmetric: bool = False, tol: float = DEFAULTS.tol):
+def reference_period_records(plant, period: int, prune_sign_symmetric: bool = False):
     """The analyzer at one period, candidate by candidate: every pattern through ``K @ s``.
 
     A candidate within :func:`edge_band` of an edge (:func:`smallest_margins`)
@@ -387,7 +397,7 @@ def reference_period_records(plant, period: int, prune_sign_symmetric: bool = Fa
     equal these wherever no margin falls between the library's band and
     this looser one.
     """
-    K = loop_matrix(plant, period, tol)
+    K = loop_matrix(plant, period)
     band = edge_band(K)
     out = []
     for pattern in enumerate_unimodal_patterns(period):
@@ -424,9 +434,7 @@ def responses(draw):
     return ImpulseResponse.from_samples([draw(lead_tap)] + draw(st.lists(tap, max_size=9)))
 
 
-def reference_brute_force_fixed_points(
-    plant, period: int, cap: int = DEFAULTS.oracle_cap, tol: float = DEFAULTS.tol
-) -> list[tuple[int, ...]]:
+def reference_brute_force_fixed_points(plant, period: int, cap: int = DEFAULTS.oracle_cap) -> list[tuple[int, ...]]:
     """The exhaustive oracle by integer decoding: every code's digits by // and %.
 
     Each chunk of 3^10 codes is decoded with P floor divisions and P
@@ -441,7 +449,7 @@ def reference_brute_force_fixed_points(
         raise ValueError("period must be positive")
     if period > cap:
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
-    K = loop_matrix(plant, period, tol)
+    K = loop_matrix(plant, period)
     band = edge_band(K)
     powers = 3 ** np.arange(period, dtype=np.int64)
     total = 3**period
@@ -617,6 +625,29 @@ def is_periodically_unimodal_levelsets(v) -> bool:
     return all(cyclic_sign_changes(x - g) <= 2 for g in gammas)
 
 
+def horizon(g: ImpulseResponse, tol: float) -> int:
+    """Smallest n (power-of-two refined) with g.tail_bound(n) < tol."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if g.tail_bound(0) < tol:
+        return 1
+    n = 1
+    while g.tail_bound(n) >= tol:
+        n *= 2
+        if n > MAX_HORIZON:
+            raise TruncationError(
+                f"tail bound cannot reach {tol:g} within {MAX_HORIZON} samples"
+            )
+    lo, hi = n // 2, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if g.tail_bound(mid) < tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def simulate_by_convolution(plant, seed_history, steps: int, tol: float = 1e-14) -> Trajectory:
     """The closed loop by truncated direct convolution with a certified tail.
 
@@ -627,7 +658,7 @@ def simulate_by_convolution(plant, seed_history, steps: int, tol: float = 1e-14)
         raise ValueError("the convolution reference needs a positive delay")
     seed = [int(v) for v in seed_history]
     lead = len(seed)
-    depth = plant.g0.horizon(tol) if plant.g0.kind != SAMPLES else plant.g0.values.size
+    depth = horizon(plant.g0, tol) if plant.g0.kind != SAMPLES else plant.g0.values.size
     taps = plant.g0.samples(depth)
     r_all = np.zeros(lead + steps, dtype=np.int8)
     r_all[:lead] = seed

@@ -28,7 +28,6 @@ from relayosc.analyzer import (
     period_records,
     verify_fixed_point,
 )
-from relayosc.config import DEFAULTS
 from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_matrix
 from relayosc.variation import max_cyclic_sign_changes, relay_vec, sign_counts
 
@@ -453,7 +452,7 @@ class TestOracleAgainstReference:
         K[0, :2], K[0, 10:] = (a0, a1), 2.0**-52
         K[1, 10] = K[10, 10] = K[11, 11] = 3.0
         for module in (analyzer, conftest):
-            monkeypatch.setattr(module, "loop_matrix", lambda plant, p, tol: K)
+            monkeypatch.setattr(module, "loop_matrix", lambda plant, p: K)
         plant = geometric_plant(0.1, 1, 2.0)
         found = brute_force_fixed_points(plant, 12)
         assert found == reference_brute_force_fixed_points(plant, 12)
@@ -666,7 +665,7 @@ class TestScreenThenVerify:
 
 def folded(plant, periods):
     """Each period's generator and tau, as the sweep keeps them."""
-    return {period: _fold(plant, period, DEFAULTS.tol) for period in periods}
+    return {period: _fold(plant, period) for period in periods}
 
 
 def reference_sweep(plant, pmax, prune):
@@ -709,7 +708,7 @@ class TestOracleBlocks:
     @pytest.mark.parametrize("period", [1, 10, 11])
     def test_all_zero_pattern_excluded_once(self, period, monkeypatch):
         # with an identity loop every pattern is its own relay image
-        monkeypatch.setattr(analyzer, "loop_matrix", lambda plant, p, tol: np.eye(p))
+        monkeypatch.setattr(analyzer, "loop_matrix", lambda plant, p: np.eye(p))
         found = brute_force_fixed_points(geometric_plant(0.1, 1), period)
         assert len(found) == len(set(found)) == 3**period - 1
         assert (0,) * period not in found

@@ -11,7 +11,7 @@ import relayosc
 from relayosc import analyzer, cli
 from relayosc.analyzer import verify_fixed_point
 
-from conftest import report_from_dict
+from conftest import report_from_dict, time_limit
 
 
 def test_module_entry_point():
@@ -75,6 +75,11 @@ class TestCheckPlant:
         assert "delay (pure delay plus source relative degree): 3" in out
         assert "monotone decay: PASS" in out
 
+    @pytest.mark.parametrize("samples", ["1,0.9,0.1", "1e-13,0.9e-13,0.1e-13"])
+    def test_convexity_does_not_depend_on_the_gain(self, samples, capsys):
+        assert cli.main(["check-plant", "--samples", samples]) == 0
+        assert "convex on support: no\n" in capsys.readouterr().out
+
     def test_disconnected_samples_fail(self, capsys):
         rc = cli.main(["check-plant", "--samples", "1,0,0.5"])
         out = capsys.readouterr().out
@@ -128,6 +133,11 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--samples", "1,0,0.5", "--pmax", "6"])
         assert rc == 1
         assert "monotonically decaying" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gain", ["1", "1e-13"])
+    def test_bounds_do_not_depend_on_the_gain(self, gain, capsys):
+        assert cli.main(["analyze", "--geometric", f"0.5,{gain}", "--delay", "2"]) == 0
+        assert capsys.readouterr().out.startswith("period bounds: [4, 8], convex 10 (dominance index 2)\n")
 
     def test_flag_overrides_file(self, plant_file, capsys):
         rc = cli.main(["analyze", "--plant", plant_file, "--delay", "3", "--pmax", "6"])
@@ -326,8 +336,12 @@ def test_nan_dead_zone_is_refused(verb, flags, capsys):
         ["sweep", "--geometric", "0.1", "--delay", "1:3", "--seed", "1,-1", "--out", "pts.csv"],
         ["simulate", "--geometric", "0.1", "--delay", "3", "--seed", "1,-1", "--prune"],
         ["oracle", "--geometric", "0.1", "--delay", "3", "--out", "x.csv"],
+        ["check-plant", "--geometric", "0.1", "--tol", "1e-12"],
+        ["analyze", "--geometric", "0.1", "--delay", "3", "--tol", "1e-12"],
+        ["sweep", "--geometric", "0.1", "--delay", "1:3", "--out", "pts.csv", "--tol", "1e-12"],
+        ["oracle", "--geometric", "0.1", "--delay", "3", "--tol", "1e-12"],
     ],
-    ids=["check-plant", "analyze", "sweep", "simulate", "oracle"],
+    ids=["check-plant", "analyze", "sweep", "simulate", "oracle", "check-plant-tol", "analyze-tol", "sweep-tol", "oracle-tol"],
 )
 def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, capsys):
     # a usage error is invalid input: exit 1, as exit 2 means an internal check failed
@@ -339,11 +353,18 @@ def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize(
     "argv",
-    [[], ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "x"], ["sweep", "--geometric", "0.1", "--workers"]],
-    ids=["no-verb", "bad-int", "missing-value"],
+    [
+        [],
+        ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "x"],
+        ["sweep", "--geometric", "0.1", "--workers"],
+        # the dominance index of ratio 1 - 5e-7 is about ln 2 / 5e-7, past the walk's cap of 10^6
+        ["analyze", "--geometric", "0.9999995", "--delay", "1"],
+    ],
+    ids=["no-verb", "bad-int", "missing-value", "dominance-past-the-cap"],
 )
 def test_usage_errors_exit_1(argv, capsys):
-    assert cli.main(argv) == 1
+    with time_limit(10.0):
+        assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

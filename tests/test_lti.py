@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relayosc.analyzer import dominance_index
 from relayosc.lti import (
     ImpulseResponse,
     PlantSpec,
@@ -27,6 +28,7 @@ from conftest import (
     direct_periodic_summation,
     exact_rational_fold,
     fold_error_bound,
+    horizon,
     load_plant,
     reference_rational_head,
     save_plant,
@@ -131,7 +133,7 @@ class TestImpulseResponse:
         with time_limit(1.0):
             assert g.tail_bound(0) == pytest.approx(1e6, rel=1e-7)
             with pytest.raises(TruncationError):
-                g.horizon(1e-12)
+                horizon(g, 1e-12)
 
 
 @st.composite
@@ -289,10 +291,14 @@ class TestMonotoneDecay:
         assert not v.passed
         assert not v.tail_certified
 
-    def test_eps_relaxes_strictness(self):
-        g = ImpulseResponse.from_samples([1, 1, 0.5])
-        assert not check_monotone_decay(g).strictly_decreasing
-        assert check_monotone_decay(g, eps=1e-6).strictly_decreasing
+    @pytest.mark.parametrize(
+        "values, failed",
+        [([1, 0.5, 1e-14, 2e-14], "strictly_decreasing"), ([1, 0.5, 0, 1e-13], "support_connected")],
+        ids=["rising", "gap"],
+    )
+    def test_a_finite_tail_below_1e_12_is_read(self, values, failed):
+        v = check_monotone_decay(ImpulseResponse.from_samples(values))
+        assert not v.passed and not getattr(v, failed)
 
 
 class TestConvexity:
@@ -307,6 +313,30 @@ class TestConvexity:
 
     def test_linear_ramp_boundary(self):
         assert is_convex_on_support(ImpulseResponse.from_samples([3, 2, 1]))
+
+    def test_a_finite_tail_below_1e_12_is_read(self):
+        assert not is_convex_on_support(ImpulseResponse.from_samples([1, 0.5, 0.4, 1e-13, 9e-14]))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(a geometric or finite falling response, the same response scaled by 2^k, k in [-60, 60])."""
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    if draw(st.booleans()):
+        ratio = draw(st.floats(0.05, 0.99))
+        return ImpulseResponse.geometric(ratio), ImpulseResponse.geometric(ratio, scale)
+    values = sorted(draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=10)), reverse=True)
+    return ImpulseResponse.from_samples(values), ImpulseResponse.from_samples(np.multiply(values, scale))
+
+
+class TestScaleInvariance:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scaled_pairs())
+    def test_scaling_by_a_power_of_two_changes_no_verdict(self, pair):
+        # the period window depends on the shape of the response, not on its gain
+        g, scaled = pair
+        for verdict in (dominance_index, is_convex_on_support, lambda h: check_monotone_decay(h).passed):
+            assert verdict(scaled) == verdict(g)
 
 
 class TestPeriodicSummation:
@@ -338,7 +368,7 @@ class TestPeriodicSummation:
         with time_limit(1.0):
             np.testing.assert_allclose(periodic_summation(g, 3), 0.999999 ** np.arange(3) / (1 - 0.999999**3), rtol=1e-9)
             with pytest.raises(TruncationError):
-                g.horizon(1e-14)
+                horizon(g, 1e-14)
 
     def test_folded_kernel_positive_and_decreasing(self):
         # the property every fixed-point argument leans on

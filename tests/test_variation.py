@@ -148,10 +148,6 @@ class TestRelay:
             relay_vec([1.0, np.nan], 0.0)
         np.testing.assert_array_equal(relay_vec([[0.5, -0.5], [0.1, 0.0]], 0.2), [[1, -1], [0, 0]])
 
-    def test_tolerance_widens_zone(self):
-        assert relay(0.85, 0.8) == 1
-        assert relay(0.85, 0.8, tol=0.1) == 0
-
     def test_vector_and_oddness(self, rng):
         for _ in range(100):
             v = rng.normal(size=8)
