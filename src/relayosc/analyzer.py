@@ -29,9 +29,10 @@ from .lti import (
     TruncationError,
     check_monotone_decay,
     circulant,
+    cyclic_shift,
     is_convex_on_support,
-    loop_generator,
     loop_matrix,
+    periodic_summation,
 )
 from .variation import (
     cyclic_diff,
@@ -414,17 +415,17 @@ _SLOTS = (
 )
 
 
-def _prefix_sums(folds: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prefix sums of (c, c) of every period of ``folds`` one after the other, start of each, tau of each).
+def _prefix_sums(gens: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prefix sums of (c, c) of every period of ``gens`` one after the other, start of each, tau of each).
 
-    ``folds`` maps a period to its generator c and tau; the two tables are indexed by period.
+    ``gens`` maps a period to its generator c and tau (:func:`_generator`); the two tables are indexed by period.
     """
-    size = max(folds) + 1
+    size = max(gens) + 1
     offset, tau = np.zeros(size, dtype=np.int64), np.zeros(size)
-    prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in folds.values()]
-    periods = np.fromiter(folds, dtype=np.int64, count=len(folds))
+    prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in gens.values()]
+    periods = np.fromiter(gens, dtype=np.int64, count=len(gens))
     offset[periods] = np.cumsum(2 * periods + 1) - (2 * periods + 1)
-    tau[periods] = [t for _, t in folds.values()]
+    tau[periods] = [t for _, t in gens.values()]
     return np.concatenate(prefixes), offset, tau
 
 
@@ -435,8 +436,8 @@ def _entries(prefix: np.ndarray, rows: np.ndarray, offset, slot) -> np.ndarray:
     return prefix[neg + b] - prefix[neg] - (prefix[pos + a] - prefix[pos])
 
 
-def _screen(rows: np.ndarray, folds: dict, dead_zone: float) -> np.ndarray:
-    """Indices of the rows (P, b, z1, a, z2) that no slot rejects, in order; ``folds`` as in :func:`_prefix_sums`.
+def _screen(rows: np.ndarray, sums: tuple, dead_zone: float) -> np.ndarray:
+    """Indices of the rows (P, b, z1, a, z2) that no slot rejects, in order; ``sums`` from :func:`_prefix_sums`.
 
     Row (b, z1, a, z2) is s = [-^b 0^z1 +^a 0^z2]. Entry u_i of -(c conv s) is the sum of
     c[(i - j) mod P] over j < b minus that over the positive run, each a difference of prefix sums
@@ -449,7 +450,7 @@ def _screen(rows: np.ndarray, folds: dict, dead_zone: float) -> np.ndarray:
     The slots are screened one at a time, each on the rows no earlier slot rejected: every entry is
     the same elementwise expression as over all six slots at once, so it has the same bits.
     """
-    prefix, offset, tau = _prefix_sums(folds)
+    prefix, offset, tau = sums
     keep = np.arange(len(rows))
     for slot_level in _SLOTS:
         r = rows[keep]
@@ -460,50 +461,69 @@ def _screen(rows: np.ndarray, folds: dict, dead_zone: float) -> np.ndarray:
     return keep
 
 
-def _batch_records(plant: PlantSpec, folds: dict, prune_sign_symmetric: bool) -> list[OscillationRecord]:
-    """Screen every candidate of the folded periods at once, then judge the survivors (:func:`_judge`)."""
-    rows = _sweep_rows(list(folds))
-    survivors = rows[_screen(rows, folds, plant.dead_zone)].tolist()
+def _cell_records(rows: np.ndarray, gens: dict, sums: tuple, dead_zone: float, prune: bool) -> list:
+    """Screen the rows at one dead zone, then judge the survivors; ``gens`` as in :func:`_prefix_sums`."""
+    survivors = rows[_screen(rows, sums, dead_zone)].tolist()
     out = []
     for period, group in itertools.groupby(survivors, key=lambda row: row[0]):
-        c, tau = folds[period]
+        c, tau = gens[period]
         K = -circulant(c)  # built only for a period with survivors
         for _, *runs in group:
             arr = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
-            if prune_sign_symmetric:
+            if prune:
                 pos, neg, zero = sign_counts(arr)
                 if zero == 0 and pos != neg:
                     continue
-            u = _judge(K, arr, plant.dead_zone, tau)
+            u = _judge(K, arr, dead_zone, tau)
             if u is not None:
                 out.append(_record_from(u, arr))
     return out
 
 
-def _fold(plant: PlantSpec, period: int) -> tuple[np.ndarray, float]:
-    """(the loop generator c at one period, the tau of the screen and the judge for it)."""
-    c = loop_generator(plant, period)
-    return c, _rounding_bound(period, float(np.abs(c).sum()))
+def _generator(fold: np.ndarray, delay: int) -> tuple[np.ndarray, float]:
+    """(the fold rotated down by the delay, the bits of :func:`loop_generator`; its tau, :func:`_rounding_bound`)."""
+    c = cyclic_shift(fold, delay % fold.size)
+    return c, _rounding_bound(fold.size, float(np.abs(c).sum()))
 
 
-def _sweep(plant: PlantSpec, periods, prune_sign_symmetric: bool) -> list[OscillationRecord]:
-    """The analyzer over ``periods`` in order: fold each, screen in batches, judge the survivors."""
-    records: list[OscillationRecord] = []
-    folds: dict = {}
-    rows = 0
+def _batch_records(plants: list, folds: dict, tops: dict, prune: bool, records: list) -> None:
+    """Screen and judge one batch of folded periods for every plant, adding to its list in ``records``.
+
+    The rows are made once; each delay's generators, tau (the rounding of sum |c| depends on the
+    rotation) and prefix sums once, up to its pmax in ``tops``.
+    """
+    rows = _sweep_rows(list(folds))
+    for delay, top in tops.items():
+        gens = {period: _generator(fold, delay) for period, fold in folds.items() if period <= top}
+        if not gens:
+            continue
+        sums, mine = _prefix_sums(gens), rows[: np.searchsorted(rows[:, 0], top, side="right")]
+        for plant, found in zip(plants, records):
+            if plant.delay == delay:
+                found += _cell_records(mine, gens, sums, plant.dead_zone, prune)
+
+
+def _sweep(plants: list, periods, tops: dict, prune: bool) -> list[list[OscillationRecord]]:
+    """The analyzer's records for plants of one core response, over ``periods`` in order.
+
+    Each delay is swept up to its pmax in ``tops``. Each period is folded once for every plant (the
+    fold depends on neither the delay nor the dead zone) and screened in batches (:func:`_batch_records`).
+    """
+    records: list = [[] for _ in plants]
+    folds, rows = {}, 0
     with np.errstate(over="ignore"):  # a fold whose absolute sum overflows is refused by _rounding_bound
         for period in periods:
-            folds[period] = _fold(plant, period)
+            folds[period] = periodic_summation(plants[0].g0, period)
             rows += 4 * period
             if rows >= _SCREEN_ROWS or period == periods[-1]:
-                records.extend(_batch_records(plant, folds, prune_sign_symmetric))
+                _batch_records(plants, folds, tops, prune, records)
                 folds, rows = {}, 0
     return records
 
 
 def period_records(plant: PlantSpec, period: int, prune_sign_symmetric: bool = False) -> list[OscillationRecord]:
     """The analyzer at one period: screen every candidate, judge the survivors (:func:`_judge`)."""
-    return _sweep(plant, [period], prune_sign_symmetric)
+    return _sweep([plant], [period], {plant.delay: period}, prune_sign_symmetric)[0]
 
 
 def _base_waveform(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -716,18 +736,31 @@ def find_oscillations(
     disagreement inside the single-peaked class is flagged as a
     violation (the exit-code-2 condition upstream).
     """
-    bounds = None
-    if pmax is None:
-        bounds, pmax = _bounds_and_pmax(plant)
-    if pmax < 2:
+    return _reports([plant], pmax, prune_sign_symmetric, oracle_pmax)[0]
+
+
+def _reports(plants: list, pmax: Optional[int], prune: bool, oracle_pmax: int = 0) -> list[OscillationReport]:
+    """:func:`find_oscillations` for plants of one core response, in one pass (:func:`_sweep`).
+
+    The bounds, the default pmax and the absence verdict depend on the response and the delay alone: one per delay.
+    """
+    if pmax is not None and pmax < 2:
         raise ValueError("pmax must be at least 2")
-    records = _sweep(plant, range(2, pmax + 1), prune_sign_symmetric)
+    at = {plant.delay: plant for plant in plants}
+    windows = {delay: _bounds_and_pmax(p) if pmax is None else (None, pmax) for delay, p in at.items()}
+    tops = {delay: top for delay, (_, top) in windows.items()}
+    found = _sweep(plants, range(2, max(tops.values()) + 1), tops, prune)
+    bounds = {d: period_bounds(at[d]) if b is None and d >= 1 else b for d, (b, _) in windows.items()}
+    absence = check_absence(at[0]) if 0 in at else None
+    return [
+        _report(plant, tops[plant.delay], bounds[plant.delay], absence if not plant.delay else None, recs, oracle_pmax)
+        for plant, recs in zip(plants, found)
+    ]
+
+
+def _report(plant: PlantSpec, pmax: int, bounds, absence, records: list, oracle_pmax: int) -> OscillationReport:
+    """One plant's report from its records: the necessity and bound checks, then the oracle up to ``oracle_pmax``."""
     records.sort(key=lambda r: (r.period, r.pattern))
-
-    if bounds is None and plant.delay >= 1:
-        bounds = period_bounds(plant)
-    absence = check_absence(plant) if plant.delay == 0 else None
-
     violations: list[str] = []
     for rec in records:
         violations.extend(_thm_necessity_violations(rec))

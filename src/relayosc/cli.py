@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import analyzer
 from .config import DEFAULTS
@@ -47,27 +46,22 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _build_spec(args) -> dict:
-    """The one plant source as a plant-file dict; inline sources carry no delay."""
+def _build_plant(args) -> PlantSpec:
+    """The plant of the one plant source; the first entries of --delay and --dead-zone override the file values."""
     sources = [s for s in (args.plant, args.geometric, args.rational, args.samples) if s]
     if len(sources) != 1:
         raise ValueError("give exactly one plant source (--plant, --geometric, --rational or --samples)")
     if args.plant:
         with open(args.plant, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    if args.geometric:
+            spec = json.load(fh)
+    elif args.geometric:
         parts = _parse_float_list(args.geometric)
-        g = {"kind": "geometric", "ratio": parts[0], "gain": parts[1] if len(parts) > 1 else 1.0}
+        spec = {"plant": {"kind": "geometric", "ratio": parts[0], "gain": parts[1] if len(parts) > 1 else 1.0}}
     elif args.rational:
         num_text, den_text = args.rational.split("/")
-        g = {"kind": "rational", "num": _parse_float_list(num_text), "den": _parse_float_list(den_text)}
+        spec = {"plant": {"kind": "rational", "num": _parse_float_list(num_text), "den": _parse_float_list(den_text)}}
     else:
-        g = {"kind": "samples", "values": _parse_float_list(args.samples)}
-    return {"plant": g}
-
-
-def _build_plant(args) -> PlantSpec:
-    spec = _build_spec(args)
+        spec = {"plant": {"kind": "samples", "values": _parse_float_list(args.samples)}}
     if args.delay is not None:
         spec["delay"] = _parse_int_list(args.delay)[0]
     if args.dead_zone is not None:
@@ -171,63 +165,35 @@ def cmd_analyze(args) -> int:
     return 2 if report.violations else 0
 
 
-def _sweep_cell(spec: dict, delay: int, dead_zone: float, pmax, prune: bool):
-    """One (delay, dead zone) cell, built as ``analyze`` builds its plant.
-
-    Module-level so worker pools can pickle it. Points and bounds carry
-    the loop delay, which includes any pure delay of the response.
-    """
-    plant = PlantSpec.from_dict({**spec, "delay": delay, "dead_zone": dead_zone})
-    report = analyzer.find_oscillations(plant, pmax=pmax, prune_sign_symmetric=prune)
-    points = sorted({(plant.delay, rec.period) for rec in report.records})
-    bounds = report.bounds
-    return {
-        "delay": plant.delay,
-        "dead_zone": dead_zone,
-        "points": points,
-        "bounds": bounds.to_dict() if bounds else None,
-        "violations": report.violations,
-    }
-
-
 def cmd_sweep(args) -> int:
     if args.delay is None:
         raise ValueError("sweep needs --delay (an integer, a range lo:hi, or a comma list)")
     if not args.out:
         raise ValueError("sweep needs --out for its CSV files")
     delays = _parse_int_list(args.delay)
-    zones = _parse_float_list(args.dead_zone) if args.dead_zone is not None else [0.0]
-    if not delays or not zones:
+    zones = _parse_float_list(args.dead_zone) if args.dead_zone is not None else None
+    if not delays or zones == []:
         raise ValueError("sweep ranges must be nonempty")
-    spec = _build_spec(args)
-    _require_decay(PlantSpec.from_dict({**spec, "delay": delays[0], "dead_zone": zones[0]}))
-    cells = [(spec, d, z, args.pmax, args.prune) for z in zones for d in delays]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_cell, *zip(*cells)))
-    else:
-        results = [_sweep_cell(*cell) for cell in cells]
+    first = _build_plant(args)  # the first cell, as analyze builds it: without --dead-zone, the file's dead zone
+    _require_decay(first)
+    zones = zones or [first.dead_zone]
+    # every cell is the response of the first with its own delay, to which the response's own pure delay adds
+    plants = [PlantSpec(first.g0, first.delay - delays[0] + d, z) for z in zones for d in delays]
+    results = analyzer._reports(plants, args.pmax, args.prune)
 
-    violations = [v for res in results for v in res["violations"]]
+    violations = [v for res in results for v in res.violations]
     multi = len(zones) > 1
     for zone in zones:
-        rows = sorted(
-            {pt for res in results if res["dead_zone"] == zone for pt in res["points"]}
-        )
+        cells = sorted((res for res in results if res.plant.dead_zone == zone), key=lambda res: res.plant.delay)
+        rows = sorted({(res.plant.delay, rec.period) for res in cells for rec in res.records})
         lines = ["Pd,P"] + [f"{pd},{p}" for pd, p in rows]
         path = _tagged_path(args.out, "dz" + _fmt(zone).replace(".", "p")) if multi else args.out
         _write_or_print("\n".join(lines) + "\n", path)
         print(f"{len(rows)} (Pd, P) points -> {path}")
         bnd_lines = ["Pd,lower,upper,upper_convex,dominance_index"]
-        for res in sorted(
-            (r for r in results if r["dead_zone"] == zone), key=lambda r: r["delay"]
-        ):
-            b = res["bounds"]
-            if b:
-                convex = "" if b["upper_convex"] is None else b["upper_convex"]
-                bnd_lines.append(
-                    f"{b['delay']},{b['lower']},{b['upper']},{convex},{b['dominance_index']}"
-                )
+        for b in (res.bounds for res in cells if res.bounds):
+            convex = "" if b.upper_convex is None else b.upper_convex
+            bnd_lines.append(f"{b.delay},{b.lower},{b.upper},{convex},{b.dominance_index}")
         bpath = (path or "bounds") + ".bounds.csv"
         _write_or_print("\n".join(bnd_lines) + "\n", bpath)
         print(f"bound lines -> {bpath}")
@@ -314,7 +280,6 @@ _FLAGS = {
         type=int, default=DEFAULTS.oracle_cap, help="largest period the exhaustive oracle may attempt"
     ),
     "prune": dict(action="store_true", help="skip provably impossible zero-free patterns"),
-    "workers": dict(type=int, default=1, help="parallel workers for sweeps"),
     "steps": dict(type=int, default=DEFAULTS.sim_steps, help="simulation horizon"),
     "detect-tol": dict(type=float, default=DEFAULTS.detect_tol, help="steady-state repetition tolerance"),
     "seed": dict(action="append", help="inline relay seed history, comma separated"),
@@ -324,7 +289,7 @@ _FLAGS = {
 _VERBS = {
     "check-plant": (cmd_check_plant, ()),
     "analyze": (cmd_analyze, ("pmax", "format", "out", "oracle-cap", "prune")),
-    "sweep": (cmd_sweep, ("pmax", "out", "prune", "workers")),
+    "sweep": (cmd_sweep, ("pmax", "out", "prune")),
     "simulate": (cmd_simulate, ("out", "seed-file", "steps", "detect-tol", "seed")),
     "oracle": (cmd_oracle, ("pmax", "oracle-cap")),
 }

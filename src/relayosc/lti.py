@@ -189,7 +189,7 @@ class ImpulseResponse:
 
     Construct through :meth:`geometric`, :meth:`from_rational` or
     :meth:`from_samples`. Instances are immutable apart from internal
-    caches (rational samples, Jordan form) and are safe to share between workers.
+    caches (rational samples, Jordan form) that only grow and never change a result.
     """
 
     def __init__(self, kind: str, **params):
@@ -371,12 +371,16 @@ class ImpulseResponse:
     def tail_bounds(self, t) -> np.ndarray:
         """Certified upper bounds on sum_{k>=t} |g(k)| for an array of t, each in O(order).
 
-        Rational: the head's samples, then each mode's bound (:func:`_mode_tail`) at its error
-        radius and amplitudes, all scaled by 1 + 8 (n + 4) u for their own rounding.
+        Geometric: gain r^t / (1 - r), closed-form. Finite: the exact suffix sums. Rational: the
+        head's samples, then each mode's bound (:func:`_mode_tail`) at its error radius and
+        amplitudes, all scaled by 1 + 8 (n + 4) u for their own rounding.
         """
         t = np.maximum(np.asarray(t, dtype=np.int64), 0)
-        if self.kind != RATIONAL:
-            return np.array([self.tail_bound(k) for k in t.tolist()])
+        if self.kind == GEOMETRIC:
+            with np.errstate(over="ignore"):  # an infinite bound is refused where it is read, as by simulate
+                return self.gain * self.ratio**t / (1.0 - self.ratio)
+        if self.kind == SAMPLES:
+            return self._suffix[np.minimum(t, self.values.size)]
         modes, head = self._modes[:2]
         suffix = np.concatenate([np.cumsum(np.abs(head)[::-1])[::-1], [0.0]])
         past = np.maximum(t, head.size)
@@ -384,17 +388,14 @@ class ImpulseResponse:
         return out * (1 + 8 * (self.den.size + 3) * _U)
 
     def tail_bound(self, t: int) -> float:
-        """Certified upper bound on sum_{k>=t} |g(k)|: closed-form, exact suffix sums, or :meth:`tail_bounds`."""
-        t = max(int(t), 0)
-        if self.kind == GEOMETRIC:
-            return self.gain * self.ratio**t / (1.0 - self.ratio)
-        if self.kind == SAMPLES:
-            return float(self._suffix[min(t, self.values.size)])
+        """Certified upper bound on sum_{k>=t} |g(k)|: :meth:`tail_bounds` at one t."""
         return float(self.tail_bounds([t])[0])
 
     def l1_bound(self) -> float:
-        """Upper bound on the total absolute sum of the response."""
-        return self._modes[3] if self.kind == RATIONAL else self.tail_bound(0)
+        """Upper bound on the total absolute sum of the response: the bits of :meth:`tail_bound` at 0, read directly."""
+        if self.kind == GEOMETRIC:
+            return self.gain / (1.0 - self.ratio)
+        return self._modes[3] if self.kind == RATIONAL else float(self._suffix[0])
 
     def _decay_window(self) -> Optional[int]:
         """Samples of a rational response past which it is certified positive, falling and convex.

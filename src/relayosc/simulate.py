@@ -239,7 +239,7 @@ def simulate(
     return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
 
 
-def detect_period(traj: Trajectory, tol: float = 1e-9, window: int = 4) -> Optional[tuple[int, int]]:
+def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol, window: int = 4) -> Optional[tuple[int, int]]:
     """Smallest exact steady-state period of the trailing trajectory.
 
     A candidate period P is accepted when the relay sequence repeats
@@ -299,7 +299,7 @@ class ClassificationFlags:
         }
 
 
-def classify(u_period, plant: PlantSpec, tol: float = 1e-9) -> ClassificationFlags:
+def classify(u_period, plant: PlantSpec, tol: float = DEFAULTS.detect_tol) -> ClassificationFlags:
     """Classify one period of a waveform as an oscillation of the plant's loop.
 
     The waveform's relay image is pushed through the loop; ``residual``

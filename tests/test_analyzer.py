@@ -11,7 +11,7 @@ from relayosc.analyzer import (
     _SLOTS,
     _digit_table,
     _entries,
-    _fold,
+    _generator,
     _prefix_sums,
     _screen,
     _sweep_rows,
@@ -28,7 +28,7 @@ from relayosc.analyzer import (
     period_records,
     verify_fixed_point,
 )
-from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_matrix
+from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_generator, loop_matrix, periodic_summation
 from relayosc.variation import max_cyclic_sign_changes, relay_vec, sign_counts
 
 from conftest import (
@@ -567,7 +567,8 @@ class TestScreenThenVerify:
                 analyzer._margin(_entries(prefix, rows, offset[P], slot), level, plant.dead_zone) < -tau[P]
                 for slot, level in (slot_level(P, *rows[:, [1, 2, 4]].T) for slot_level in _SLOTS)
             ])
-            assert np.array_equal(_screen(rows, folds, plant.dead_zone), np.flatnonzero(~rejects.any(axis=0)))
+            kept = _screen(rows, (prefix, offset, tau), plant.dead_zone)
+            assert np.array_equal(kept, np.flatnonzero(~rejects.any(axis=0)))
             alone += np.sum(rejects & (rejects.sum(axis=0) == 1), axis=1)
         assert alone.all(), alone
 
@@ -577,11 +578,11 @@ class TestScreenThenVerify:
             for twin in twin_plants(ratio, 3) + twin_plants(ratio, 5):
                 edge = dead_zone_threshold(twin)
                 folds = folded(twin, range(2, 25))
-                rows = _sweep_rows(list(folds))
+                rows, sums = _sweep_rows(list(folds)), _prefix_sums(folds)
                 for dz in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
                     dz = float(dz)
                     kept = np.zeros(len(rows), dtype=bool)
-                    kept[_screen(rows, folds, dz)] = True
+                    kept[_screen(rows, sums, dz)] = True
                     for period, *runs in rows[~kept]:
                         rejected += 1
                         pattern = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
@@ -614,7 +615,7 @@ class TestScreenThenVerify:
         plant = geometric_plant(0.1, 9)
         folds = folded(plant, range(2, 201))
         rows = _sweep_rows(list(folds))
-        assert (len(rows), len(_screen(rows, folds, 0.0))) == (78805, 3)
+        assert (len(rows), len(_screen(rows, _prefix_sums(folds), 0.0))) == (78805, 3)
         assert len(find_oscillations(plant, pmax=200).records) == 3
 
     def test_a_long_sweep_screens_in_several_batches(self, monkeypatch):
@@ -624,9 +625,9 @@ class TestScreenThenVerify:
         batches = []
         batch_records = analyzer._batch_records
 
-        def spy(plant, folds, prune):
+        def spy(plants, folds, *rest):
             batches.append(list(folds))
-            return batch_records(plant, folds, prune)
+            return batch_records(plants, folds, *rest)
 
         monkeypatch.setattr(analyzer, "_batch_records", spy)
         for pmax in (60, 200):
@@ -664,8 +665,10 @@ class TestScreenThenVerify:
 
 
 def folded(plant, periods):
-    """Each period's generator and tau, as the sweep keeps them."""
-    return {period: _fold(plant, period) for period in periods}
+    """Each period's generator and tau, as the sweep keeps them; the generator is the loop generator's bits."""
+    gens = {period: _generator(periodic_summation(plant.g0, period), plant.delay) for period in periods}
+    assert all(np.array_equal(c, loop_generator(plant, period)) for period, (c, _) in gens.items())
+    return gens
 
 
 def reference_sweep(plant, pmax, prune):

@@ -32,3 +32,11 @@ def test_no_tolerance_knob_but_the_steady_state_one():
     knobs = {(name, p) for name, params in public_signatures() for p in params if p in ("tol", "eps")}
     assert knobs == {("relayosc.simulate.detect_period", "tol"), ("relayosc.simulate.classify", "tol")}
     assert not {"tol", "eps"} & {f.name for f in dataclasses.fields(DEFAULTS)}
+
+
+def test_the_steady_state_tolerance_has_one_home():
+    # the library defaults and --detect-tol read the same object, DEFAULTS.detect_tol, not an equal literal
+    from relayosc.simulate import classify, detect_period
+
+    for fn in (detect_period, classify):
+        assert inspect.signature(fn).parameters["tol"].default is DEFAULTS.detect_tol

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import relayosc
-from relayosc import analyzer, cli
-from relayosc.analyzer import verify_fixed_point
+from relayosc import analyzer, cli, lti
+from relayosc.analyzer import find_oscillations, verify_fixed_point
+from relayosc.lti import ImpulseResponse, PlantSpec
 
 from conftest import report_from_dict, time_limit
 
@@ -26,6 +27,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "monotone decay: PASS" in proc.stdout
+
+
+def test_the_command_line_does_not_import_multiprocessing():
+    # nothing runs in a process pool, so no verb pays for importing one
+    src = os.path.dirname(os.path.dirname(relayosc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, relayosc.cli; print([m for m in sys.modules if 'multiprocessing' in m])"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_an_overflowing_response_is_refused_without_warnings():
@@ -186,14 +201,65 @@ class TestSweep:
         assert (tmp_path / "pts_dz0.csv").exists()
         assert (tmp_path / "pts_dz0p8.csv").exists()
 
-    def test_workers_match_serial(self, tmp_path, capsys):
-        serial = str(tmp_path / "s.csv")
-        parallel = str(tmp_path / "p.csv")
-        argv = ["sweep", "--geometric", "0.5", "--delay", "1:4", "--pmax", "12"]
-        assert cli.main(argv + ["--out", serial]) == 0
-        assert cli.main(argv + ["--out", parallel, "--workers", "2"]) == 0
+    @pytest.mark.parametrize("prune", [False, True], ids=["all", "prune"])
+    @pytest.mark.parametrize(
+        "source, response",
+        [
+            (["--geometric", "0.5"], {"kind": "geometric", "ratio": 0.5}),
+            (["--rational", "1/1,-0.5"], {"kind": "rational", "num": [1], "den": [1, -0.5]}),
+            (["--samples", "0,1,0.5,0.25"], {"kind": "samples", "values": [0, 1, 0.5, 0.25]}),
+        ],
+        ids=["geometric", "rational", "samples"],
+    )
+    def test_one_pass_matches_the_per_cell_reference(self, source, response, prune, tmp_path, capsys):
+        # one pass over every cell writes the bytes of one find_oscillations per (delay, dead zone)
+        # cell; the rational and finite responses carry a pure delay of their own
+        out = str(tmp_path / "pts.csv")
+        argv = ["sweep", *source, "--delay", "0:4", "--dead-zone", "0,0.3", "--out", out]
+        assert cli.main(argv + ["--prune"] * prune) == 0
         capsys.readouterr()
-        assert Path(serial).read_text() == Path(parallel).read_text()
+        for zone, tag in ((0.0, "dz0"), (0.3, "dz0p3")):
+            cells = [{"plant": response, "delay": delay, "dead_zone": zone} for delay in range(5)]
+            reports = [find_oscillations(PlantSpec.from_dict(cell), prune_sign_symmetric=prune) for cell in cells]
+            points = sorted({(r.plant.delay, rec.period) for r in reports for rec in r.records})
+            assert points
+            bounds = [
+                f"{b.delay},{b.lower},{b.upper},{'' if b.upper_convex is None else b.upper_convex},{b.dominance_index}\n"
+                for b in (r.bounds for r in reports if r.bounds)
+            ]
+            path = tmp_path / f"pts_{tag}.csv"
+            assert path.read_text() == "Pd,P\n" + "".join(f"{pd},{p}\n" for pd, p in points)
+            assert Path(f"{path}.bounds.csv").read_text() == "Pd,lower,upper,upper_convex,dominance_index\n" + "".join(bounds)
+
+    def test_a_sweep_folds_each_period_once(self, tmp_path, monkeypatch, capsys):
+        # the fold depends on neither the delay nor the dead zone, so 24 cells share one per period
+        folds, fold = [], lti.periodic_summation
+
+        def spy(g, period):
+            folds.append(period)
+            return fold(g, period)
+
+        monkeypatch.setattr(lti, "periodic_summation", spy)
+        monkeypatch.setattr(analyzer, "periodic_summation", spy)
+        argv = ["sweep", "--rational", "1,0/1,-0.9", "--delay", "1:12", "--dead-zone", "0,0.1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "pts.csv")]) == 0
+        capsys.readouterr()
+        pmax = analyzer.default_pmax(PlantSpec(ImpulseResponse.from_rational([1, 0], [1, -0.9]), 12))
+        assert folds == list(range(2, pmax + 1))
+
+    def test_the_plant_file_dead_zone_holds_without_the_flag(self, tmp_path, capsys):
+        # each cell is the plant analyze builds from the same flags: the file's dead zone 0.9 leaves
+        # no oscillation, and --dead-zone still overrides it
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps({"plant": {"kind": "geometric", "ratio": 0.5}, "delay": 3, "dead_zone": 0.9}))
+        out = tmp_path / "pts.csv"
+        argv = ["--plant", str(plant), "--delay", "3", "--pmax", "12"]
+        assert cli.main(["analyze", *argv]) == 0
+        assert "verified oscillations: 0 (pmax 12)" in capsys.readouterr().out
+        assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
+        assert out.read_text() == "Pd,P\n"
+        assert cli.main(["sweep", *argv, "--dead-zone", "0", "--out", str(out)]) == 0
+        assert out.read_text() == "Pd,P\n3,2\n3,6\n"
 
     @pytest.mark.parametrize("source", [["--rational", "1/1,-0.5"], ["--samples", "0,1,0.5,0.25"]])
     def test_response_delay_adds_to_loop_delay(self, source, tmp_path, capsys):
@@ -340,8 +406,12 @@ def test_nan_dead_zone_is_refused(verb, flags, capsys):
         ["analyze", "--geometric", "0.1", "--delay", "3", "--tol", "1e-12"],
         ["sweep", "--geometric", "0.1", "--delay", "1:3", "--out", "pts.csv", "--tol", "1e-12"],
         ["oracle", "--geometric", "0.1", "--delay", "3", "--tol", "1e-12"],
+        ["sweep", "--geometric", "0.1", "--delay", "1:3", "--out", "pts.csv", "--workers", "2"],
     ],
-    ids=["check-plant", "analyze", "sweep", "simulate", "oracle", "check-plant-tol", "analyze-tol", "sweep-tol", "oracle-tol"],
+    ids=[
+        "check-plant", "analyze", "sweep", "simulate", "oracle",
+        "check-plant-tol", "analyze-tol", "sweep-tol", "oracle-tol", "sweep-workers",
+    ],
 )
 def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, capsys):
     # a usage error is invalid input: exit 1, as exit 2 means an internal check failed
@@ -356,7 +426,7 @@ def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, caps
     [
         [],
         ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "x"],
-        ["sweep", "--geometric", "0.1", "--workers"],
+        ["sweep", "--geometric", "0.1", "--pmax"],
         # the dominance index of ratio 1 - 5e-7 is about ln 2 / 5e-7, past the walk's cap of 10^6
         ["analyze", "--geometric", "0.9999995", "--delay", "1"],
     ],
