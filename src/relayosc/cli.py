@@ -54,6 +54,8 @@ def _build_plant(args) -> PlantSpec:
     if args.plant:
         with open(args.plant, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):  # refused here too, because the flags below write into it
+            raise ValueError(f"a plant spec must be a JSON object, got {type(spec).__name__}")
     elif args.geometric:
         parts = _parse_float_list(args.geometric)
         spec = {"plant": {"kind": "geometric", "ratio": parts[0], "gain": parts[1] if len(parts) > 1 else 1.0}}
@@ -208,7 +210,12 @@ def cmd_simulate(args) -> int:
     if args.seed_file:
         with open(args.seed_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        seeds = [list(map(int, s)) for s in (data["seeds"] if isinstance(data, dict) else data)]
+        entries = data["seeds"] if isinstance(data, dict) else data
+        if not (isinstance(entries, list) and all(isinstance(s, list) for s in entries)):
+            raise ValueError("a seed file holds a list of seed lists, or an object whose 'seeds' entry is one")
+        if not all(v in (-1, 0, 1) for s in entries for v in s):
+            raise ValueError("seed history entries must lie in {-1, 0, +1}")
+        seeds = [list(map(int, s)) for s in entries]
     for text in args.seed or []:
         seeds.append([int(tok) for tok in text.split(",") if tok])
     if not seeds:

@@ -436,6 +436,8 @@ class ImpulseResponse:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImpulseResponse":
+        if not isinstance(d, dict):
+            raise ValueError(f"an impulse response must be a JSON object, got {type(d).__name__}")
         kind = d.get("kind")
         if kind == GEOMETRIC:
             return cls.geometric(d["ratio"], d.get("gain", 1.0))
@@ -700,6 +702,8 @@ class PlantSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlantSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a plant spec must be a JSON object, got {type(d).__name__}")
         if "plant" not in d:
             raise ValueError("plant spec needs a 'plant' entry")
         version = d.get("version", PLANT_FORMAT_VERSION)

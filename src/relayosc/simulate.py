@@ -4,11 +4,17 @@ The loop only ever sees relay outputs, so a trajectory is seeded with a
 finite history of relay values for negative time (zero before that) and
 then iterated causally: the plant output at time t depends on relay
 values up to t - delay, the waveform is its negation, and the relay
-quantizes the waveform. Rational and geometric plants run through their
-exact linear recurrence (the seed initializes the recurrence exactly,
-because the pre-seed history is identically zero); finite-sample plants
-convolve directly. Both paths are exact, so identical seeds give
-bit-identical relay sequences.
+quantizes the waveform. Every response runs through its exact linear
+recurrence y(t) = sum_i b[i] r(t-i) - sum_{j>=1} a[j] y(t-j): geometric
+and rational plants with their own coefficients, finite-sample plants as
+the order-0 recurrence with b = the samples and a = [1]. The seed
+initializes the recurrence exactly, because the pre-seed history is
+identically zero. The step loop runs on Python floats, summing each
+output term by term in that order, so identical seeds give bit-identical
+relay sequences. Each sum starts at the positive lead sample times a
+relay value, or at +0.0, and a float sum is -0.0 only when both terms
+are, so no partial sum is ever -0.0 and a term on a pre-seed zero
+changes no bit.
 
 With zero delay the loop is algebraic: the relay output at t feeds the
 waveform at t instantaneously. At most one relay value is consistent
@@ -16,7 +22,7 @@ waveform at t instantaneously. At most one relay value is consistent
 solution at that step and the simulation aborts with a diagnostic.
 
 The step map is deterministic and its state is finite: the relay values
-it will still read and, for recurrences, the last outputs. Once the
+it will still read and the last ``order`` outputs. Once the
 state repeats, every later sample repeats with it, bit for bit, so the
 simulator stops stepping there and copies the cycle out to the horizon.
 A run costs its transient plus one cycle, capped by the horizon.
@@ -25,6 +31,7 @@ A run costs its transient plus one cycle, capped by the horizon.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +45,6 @@ from .variation import (
     cyclic_sign_changes,
     is_sign_symmetric,
     max_cyclic_sign_changes,
-    relay,
     relay_vec,
 )
 
@@ -88,10 +94,12 @@ def _check_inputs(plant: PlantSpec, seed_history, steps: int) -> tuple[list[int]
 
 
 def _num_den_taps(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(b, a) with y(t) = sum_i b[i] r(t-i) - sum_{j>=1} a[j] y(t-j)."""
+    """(b, a) with y(t) = sum_i b[i] r(t-i) - sum_{j>=1} a[j] y(t-j); a finite response is order 0."""
     g0 = plant.g0
     if g0.kind == GEOMETRIC:
         return np.array([g0.gain]), np.array([1.0, -g0.ratio])
+    if g0.kind == SAMPLES:
+        return g0.values.copy(), np.ones(1)
     # proper rational with relative degree zero: num and den share a degree
     order = g0.den.size - 1
     b = np.zeros(order + 1)
@@ -114,129 +122,107 @@ def simulate(
     defect, not dynamics). A response whose absolute sum is not finite
     is refused with ``ValueError`` before the first step.
 
-    From the first step whose reads all fall inside the relay history
-    (no pre-seed zeros, and for recurrences no seeded output), the loop
-    state is the bytes of the relay window still to be read plus, for
-    recurrences, the last ``order`` outputs. It is compared with one
-    checkpoint, re-saved at power-of-two offsets (Brent's cycle
-    finding), so memory stays O(state). When it matches, the samples
-    from the checkpoint on repeat exactly, and the rest of the horizon
-    is copied from them. Bytes are compared, so -0.0 and 0.0 never
-    count as one state. A repeated state has already been stepped once,
-    so no chatter or divergence error is lost by stopping. The result
-    is bitwise identical to stepping every sample.
+    From the first step at or after ``delay`` whose relay window
+    r(tau - width) .. r(t - 1) lies inside the seed and the simulated
+    history, the loop state is that window plus the bytes of the last
+    ``order`` outputs. It is compared with one checkpoint, re-saved at
+    power-of-two offsets (Brent's cycle finding), so memory stays
+    O(state). The newest output y(tau - 1) is a function of the state,
+    so it is compared first and rejects most steps in O(1); a NaN output,
+    possible only under an infinite cap, never matches, so such a run
+    steps every sample. When the
+    state matches, the samples from the checkpoint on repeat exactly,
+    and the rest of the horizon is copied from them. Output bytes are
+    compared, so -0.0 and 0.0 never count as one state. A repeated
+    state has already been stepped once, so no chatter or divergence
+    error is lost by stopping. The result is bitwise identical to
+    stepping every sample.
     """
     seed, l1 = _check_inputs(plant, seed_history, steps)
     cap = divergence_factor * l1
     delay = plant.delay
-    dz = plant.dead_zone
-
-    lead = len(seed)
-    # relay history indexed by shifted time: r_all[i] holds r(i - lead)
-    r_all = np.zeros(lead + steps, dtype=np.int8)
-    r_all[:lead] = seed
-
-    use_fir = plant.g0.kind == SAMPLES
-    if use_fir:
-        taps = plant.g0.values
-
-        def fir_output(tau: int) -> float:
-            acc = 0.0
-            for k in range(min(taps.size, tau + lead + 1)):
-                acc += taps[k] * r_all[tau - k + lead]
-            return acc
-
-        width = taps.size
-        # first step whose window is all relay history: t - delay >= width - 1 - lead
-        start = max(0, delay + width - 1 - lead)
-        y_all = np.zeros(0)
-        y_lo = y_hi = 0
-    else:
-        b, a = _num_den_taps(plant)
-        order = a.size - 1
-        # y history reaches back far enough for both the recurrence taps
-        # and the delayed reads; seeded values are exact finite sums
-        # because the pre-seed relay history is identically zero
-        back = max(order, delay, 1)
-        y_all = np.zeros(back + steps)  # y_all[i] holds y(i - back)
-        g_head = plant.g0.samples(max(lead, 1))
-        for tau in range(-min(back, lead), 0):
-            acc = 0.0
-            for k in range(tau + lead + 1):
-                acc += g_head[k] * r_all[tau - k + lead]
-            y_all[tau + back] = acc
-
-        def recurrence(tau: int, r_now: int) -> float:
-            """y(tau) given relay history and y(tau-1..tau-order)."""
-            acc = b[0] * r_now
-            for i in range(1, b.size):
-                if tau - i + lead >= 0:
-                    acc += b[i] * r_all[tau - i + lead]
-            for j in range(1, order + 1):
-                acc -= a[j] * y_all[tau - j + back]
-            return acc
-
-        width = b.size
-        # the recurrence runs from tau = 0, and its b taps then read relay history only
-        start = delay + max(0, width - 1 - lead)
-        # outputs y(tau - order) .. y(tau - 1) sit at y_all[t + y_lo : t + y_hi]
-        y_lo, y_hi = back - delay - order, back - delay
-    # relay values r(tau - width + 1) .. r(t - 1) sit at r_all[t + r_lo : t + lead]
-    r_lo = lead - delay - width + 1
-
+    dz = float(plant.dead_zone)
+    b, a = (taps.tolist() for taps in _num_den_taps(plant))
+    b0, width, order = b[0], len(b), len(a) - 1
     g00 = plant.g0.sample(0)
-    u = np.zeros(steps)
-    saved, saved_at = None, start
+
+    # relay history as floats, width - 1 pre-seed zeros ahead of the seed
+    # (terms on them change no bit): r[i] holds r(i - lead)
+    n_seed = len(seed)
+    lead = width - 1 + n_seed
+    r = [0.0] * (width - 1) + [float(v) for v in seed]
+    # y[i] holds y(i - back), reaching back far enough for both the
+    # recurrence taps and the delayed reads; seeded values are exact
+    # finite sums because the pre-seed relay history is identically zero
+    back = max(order, delay, 1)
+    y = array("d", bytes(8 * back))
+    g_head = plant.g0.samples(max(n_seed, 1)).tolist()
+    for tau in range(-min(back, n_seed), 0):
+        acc = 0.0
+        for k in range(tau + n_seed + 1):
+            acc += g_head[k] * r[tau - k + lead]
+        y[tau + back] = acc
+
+    # at step t >= start the state is r[t + r_lo : t + lead] and y[t + y_lo : t + y_hi]
+    start = delay + max(0, width - n_seed)
+    r_lo = lead - delay - width
+    y_lo, y_hi = back - delay - order, back - delay
+    taps, poles = range(1, width), range(1, order + 1)
+    saved, saved_y, saved_at, save_at = None, math.nan, start, start
+    yt = None  # the output read at the previous step, y(tau - 1)
     for t in range(steps):
-        if t >= start:
-            state = r_all[t + r_lo : t + lead].tobytes() + y_all[t + y_lo : t + y_hi].tobytes()
-            if state == saved:
-                rest = steps - t
-                u[t:] = np.resize(u[saved_at:t], rest)
-                r_all[t + lead :] = np.resize(r_all[saved_at + lead : t + lead], rest)
-                break
-            if ((t - start + 1) & (t - start)) == 0:  # offsets 0, 1, 3, 7, ... from start
-                saved, saved_at = state, t
+        if yt == saved_y and (r[t + r_lo : t + lead], y[t + y_lo : t + y_hi].tobytes()) == saved:
+            break
+        if t == save_at:  # offsets 0, 1, 3, 7, ... from start
+            saved = (r[t + r_lo : t + lead], y[t + y_lo : t + y_hi].tobytes())
+            saved_y, saved_at, save_at = yt, t, 2 * t - start + 1
         tau = t - delay
-        if delay >= 1:
-            if use_fir:
-                yt = fir_output(tau)
-            elif tau < 0:
-                yt = y_all[tau + back]
-            else:
-                yt = recurrence(tau, int(r_all[tau + lead]))
-                y_all[tau + back] = yt
-            u[t] = -yt
-            r_all[t + lead] = relay(u[t], dz)
+        if tau < 0:
+            yt = y[tau + back]
         else:
-            # algebraic loop: y(t) = c + g0(0) * r(t); the instantaneous
-            # gain is positive so at most one relay output is consistent
-            if use_fir:
-                c = fir_output(t) - g00 * r_all[t + lead]
-            else:
-                c = recurrence(t, 0)
-            chosen = None
-            for cand in (1, 0, -1):
-                if relay(-(c + g00 * cand), dz) == cand:
-                    chosen = cand
-                    break
-            if chosen is None:
-                raise SimulationError(
-                    f"no consistent relay output at step {t}: the zero-delay loop "
-                    f"chatters (offset {-c:.6g}, instantaneous gain {g00:.6g})"
-                )
-            r_all[t + lead] = chosen
-            u[t] = -(c + g00 * chosen)
-            if not use_fir:
-                y_all[t + back] = c + g00 * chosen
-        if abs(u[t]) > cap:
+            # y(tau) = b0 r(tau) + b1 r(tau-1) + ... - a1 y(tau-1) - ..., in that order;
+            # with zero delay r(t) is not known yet and enters below
+            k = tau + lead
+            yt = b0 * r[k] if delay else 0.0
+            for i in taps:
+                yt += b[i] * r[k - i]
+            k = tau + back
+            for j in poles:
+                yt -= a[j] * y[k - j]
+            if not delay:
+                # algebraic loop: y(t) = c + g0(0) * r(t); the instantaneous
+                # gain is positive so at most one relay output is consistent
+                for rt in (1.0, 0.0, -1.0):
+                    v = yt + g00 * rt
+                    if (-1.0 if v > dz else 1.0 if v < -dz else 0.0) == rt:  # the relay of u(t) = -v
+                        break
+                else:
+                    raise SimulationError(
+                        f"no consistent relay output at step {t}: the zero-delay loop "
+                        f"chatters (offset {-yt:.6g}, instantaneous gain {g00:.6g})"
+                    )
+                yt = v
+            y.append(yt)
+        # the relay of the waveform u(t) = -y(tau)
+        if delay:
+            rt = -1.0 if yt > dz else 1.0 if yt < -dz else 0.0
+        r.append(rt)
+        if abs(yt) > cap:
             raise SimulationError(
-                f"waveform magnitude {abs(u[t]):.6g} exceeded the divergence cap "
+                f"waveform magnitude {abs(yt):.6g} exceeded the divergence cap "
                 f"{cap:.6g} at step {t}; the loop output is bounded by the response's "
                 f"absolute sum, so this indicates a defect"
             )
+    else:  # no state repeated: every sample was stepped
+        t = steps
 
-    return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
+    u = -np.frombuffer(y, dtype=float)[back - delay : back - delay + t]
+    if t < steps:  # u[saved_at:] is one cycle; repeat it out to the horizon
+        reps = -(-(steps - saved_at) // (t - saved_at))
+        u = np.concatenate([u[:saved_at], np.tile(u[saved_at:], reps)[: steps - saved_at]])
+    # every relay output is the relay of its waveform sample, the zero-delay ones too
+    relay_out = (u > dz).view(np.int8) - (u < -dz).view(np.int8)
+    return Trajectory(u=u, relay_out=relay_out, seed_history=tuple(seed), plant=plant)
 
 
 def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol, window: int = 4) -> Optional[tuple[int, int]]:

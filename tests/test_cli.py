@@ -366,6 +366,34 @@ class TestSimulateVerb:
 
 
 @pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        ("[1, 2]", ["analyze", "--plant", "{}", "--delay", "1"], "a plant spec must be a JSON object, got list"),
+        ("[1, 2]", ["check-plant", "--plant", "{}"], "a plant spec must be a JSON object, got list"),
+        ('{"plant": [1]}', ["check-plant", "--plant", "{}"], "an impulse response must be a JSON object, got list"),
+        (
+            '{"seeds": [1, 2]}',
+            ["simulate", "--geometric", "0.5", "--delay", "1", "--seed-file", "{}"],
+            "a seed file holds a list of seed lists, or an object whose 'seeds' entry is one",
+        ),
+        (
+            "[[1, -1], [null]]",
+            ["simulate", "--geometric", "0.5", "--delay", "1", "--seed-file", "{}"],
+            "seed history entries must lie in {-1, 0, +1}",
+        ),
+    ],
+    ids=["plant-list-with-delay", "plant-list", "response-list", "seed-not-a-list", "seed-entry-null"],
+)
+def test_a_json_file_of_the_wrong_shape_is_an_error_line(content, argv, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert cli.main([arg.format(path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--geometric", "0.1", "--delay", "3", "--pmax", "0"],

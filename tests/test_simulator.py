@@ -13,7 +13,7 @@ from relayosc.simulate import (
     simulate,
 )
 
-from conftest import reference_simulate, responses, simulate_by_convolution, time_limit
+from conftest import reference_simulate, simulate_by_convolution, time_limit
 
 EXAMPLE_SEEDS = {
     18: [1] * 9 + [-1] * 9,
@@ -22,14 +22,37 @@ EXAMPLE_SEEDS = {
 }
 
 
+#: 59 falling taps with a negative one every seventh sample
+LONG_FIR = ImpulseResponse.from_samples([1.0] + [0.93**k * (-0.5 if k % 7 == 0 else 1.0) for k in range(1, 59)])
+#: a third-order rational response
+ORDER_3 = ImpulseResponse.from_rational([1.0, -0.3, 0.2, 0.1], np.poly([0.9, -0.6, 0.3]))
+
+
 def fast_plant(delay=9, dead_zone=0.0):
     return PlantSpec(ImpulseResponse.geometric(0.1), delay, dead_zone)
 
 
 @st.composite
+def loop_responses(draw):
+    """A finite response for the step loop: geometric, rational of order 1-4 or up to 60 samples, negative taps allowed."""
+    kind = draw(st.sampled_from(["geometric", "rational", "samples"]))
+    lead_tap = st.floats(0.1, 2.0)
+    tap = st.floats(-2.0, 2.0)
+    if kind == "geometric":
+        return ImpulseResponse.geometric(draw(st.floats(0.01, 0.99)), draw(lead_tap))
+    if kind == "rational":
+        order = draw(st.integers(1, 4))
+        poles = draw(st.lists(st.floats(-0.95, 0.95), min_size=order, max_size=order))
+        num = [draw(lead_tap)] + draw(st.lists(tap, min_size=order, max_size=order))
+        return ImpulseResponse.from_rational(num, np.poly(poles))
+    more = draw(st.integers(0, 59))  # a length drawn first spreads evenly up to 60 taps
+    return ImpulseResponse.from_samples([draw(lead_tap)] + draw(st.lists(tap, min_size=more, max_size=more)))
+
+
+@st.composite
 def loop_runs(draw):
     """A finite plant (negative taps allowed), a relay seed and a horizon."""
-    g = draw(responses())
+    g = draw(loop_responses())
     dead_zone = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
     plant = PlantSpec(g, draw(st.integers(0, 6)), dead_zone)
     seed = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=15))
@@ -157,6 +180,38 @@ class TestCycleDetection:
     def test_bitwise_equal_to_stepping_every_sample(self, run):
         plant, seed, steps = run
         assert run_outcome(simulate, plant, seed, steps) == run_outcome(reference_simulate, plant, seed, steps)
+
+    @pytest.mark.parametrize(
+        "g, delay, dead_zone, seed, period",
+        [
+            (LONG_FIR, 0, 2.5, [1] * 59, None),
+            (LONG_FIR, 0, 3.0, [1, 1, -1, 0, 1, -1, -1, 1, 0, 1] * 3, 1),
+            (LONG_FIR, 1, 0.0, [1, 1, -1, 0, 1, -1, -1, 1, 0, 1], 34),
+            (LONG_FIR, 1, 0.5, [1, 1, -1, 0, 1, -1, -1, 1, 0, 1], 101),
+            (LONG_FIR, 6, 0.0, [1, 1, -1, 0, 1, -1, -1, 1, 0, 1], 34),
+            (LONG_FIR, 6, 0.5, [-1, 0, 1], 18),
+            (ORDER_3, 0, 2.5, [1] * 59, None),
+            (ORDER_3, 0, 3.5, [1] * 59, 1),
+        ],
+        ids=[
+            "fir59-d0-chatters",
+            "fir59-d0-quiet",
+            "fir59-d1-period-34",
+            "fir59-d1-period-101",
+            "fir59-d6-period-34",
+            "fir59-d6-short-seed",
+            "order3-d0-chatters",
+            "order3-d0-settles",
+        ],
+    )
+    def test_long_responses_are_bitwise_equal_to_stepping_every_sample(self, g, delay, dead_zone, seed, period):
+        plant = PlantSpec(g, delay, dead_zone)
+        outcome = run_outcome(simulate, plant, seed, 600)
+        assert outcome == run_outcome(reference_simulate, plant, seed, 600)
+        if period is None:
+            assert outcome[0] is SimulationError and "chatters" in outcome[1]
+        else:
+            assert detect_period(simulate(plant, seed, 600))[0] == period
 
     def test_long_horizon_costs_the_transient(self):
         plant = fast_plant()
