@@ -461,7 +461,7 @@ def _screen(rows: np.ndarray, sums: tuple, dead_zone: float) -> np.ndarray:
     return keep
 
 
-def _cell_records(rows: np.ndarray, gens: dict, sums: tuple, dead_zone: float, prune: bool) -> list:
+def _cell_records(rows: np.ndarray, gens: dict, sums: tuple, dead_zone: float) -> list:
     """Screen the rows at one dead zone, then judge the survivors; ``gens`` as in :func:`_prefix_sums`."""
     survivors = rows[_screen(rows, sums, dead_zone)].tolist()
     out = []
@@ -470,10 +470,6 @@ def _cell_records(rows: np.ndarray, gens: dict, sums: tuple, dead_zone: float, p
         K = -circulant(c)  # built only for a period with survivors
         for _, *runs in group:
             arr = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
-            if prune:
-                pos, neg, zero = sign_counts(arr)
-                if zero == 0 and pos != neg:
-                    continue
             u = _judge(K, arr, dead_zone, tau)
             if u is not None:
                 out.append(_record_from(u, arr))
@@ -486,7 +482,7 @@ def _generator(fold: np.ndarray, delay: int) -> tuple[np.ndarray, float]:
     return c, _rounding_bound(fold.size, float(np.abs(c).sum()))
 
 
-def _batch_records(plants: list, folds: dict, tops: dict, prune: bool, records: list) -> None:
+def _batch_records(plants: list, folds: dict, tops: dict, records: list) -> None:
     """Screen and judge one batch of folded periods for every plant, adding to its list in ``records``.
 
     The rows are made once; each delay's generators, tau (the rounding of sum |c| depends on the
@@ -500,10 +496,10 @@ def _batch_records(plants: list, folds: dict, tops: dict, prune: bool, records: 
         sums, mine = _prefix_sums(gens), rows[: np.searchsorted(rows[:, 0], top, side="right")]
         for plant, found in zip(plants, records):
             if plant.delay == delay:
-                found += _cell_records(mine, gens, sums, plant.dead_zone, prune)
+                found += _cell_records(mine, gens, sums, plant.dead_zone)
 
 
-def _sweep(plants: list, periods, tops: dict, prune: bool) -> list[list[OscillationRecord]]:
+def _sweep(plants: list, periods, tops: dict) -> list[list[OscillationRecord]]:
     """The analyzer's records for plants of one core response, over ``periods`` in order.
 
     Each delay is swept up to its pmax in ``tops``. Each period is folded once for every plant (the
@@ -516,14 +512,14 @@ def _sweep(plants: list, periods, tops: dict, prune: bool) -> list[list[Oscillat
             folds[period] = periodic_summation(plants[0].g0, period)
             rows += 4 * period
             if rows >= _SCREEN_ROWS or period == periods[-1]:
-                _batch_records(plants, folds, tops, prune, records)
+                _batch_records(plants, folds, tops, records)
                 folds, rows = {}, 0
     return records
 
 
-def period_records(plant: PlantSpec, period: int, prune_sign_symmetric: bool = False) -> list[OscillationRecord]:
+def period_records(plant: PlantSpec, period: int) -> list[OscillationRecord]:
     """The analyzer at one period: screen every candidate, judge the survivors (:func:`_judge`)."""
-    return _sweep([plant], [period], {plant.delay: period}, prune_sign_symmetric)[0]
+    return _sweep([plant], [period], {plant.delay: period})[0]
 
 
 def _base_waveform(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -719,27 +715,22 @@ def _bound_violations(rec: OscillationRecord, bounds: PeriodBounds) -> list[str]
     return out
 
 
-def find_oscillations(
-    plant: PlantSpec,
-    pmax: Optional[int] = None,
-    prune_sign_symmetric: bool = False,
-    oracle_pmax: int = 0,
-) -> OscillationReport:
+def find_oscillations(plant: PlantSpec, pmax: Optional[int] = None, oracle_pmax: int = 0) -> OscillationReport:
     """Sweep all single-peaked patterns up to ``pmax`` and verify fixed points.
 
-    ``prune_sign_symmetric`` skips zero-free candidates with unequal run
-    lengths (provably never fixed); the default sweep keeps them so the
-    necessity claim is demonstrated rather than assumed, and both modes
-    must return identical records. With ``oracle_pmax`` > 0 the
-    exhaustive oracle runs for every period up to the smaller of the two
-    ceilings; unmatched families are listed in ``oracle_diff`` and any
-    disagreement inside the single-peaked class is flagged as a
-    violation (the exit-code-2 condition upstream).
+    Every candidate is judged, the zero-free ones with unequal run lengths
+    too, although none is ever fixed, so the necessity claim (a
+    single-peaked self-oscillation is sign-symmetric) is demonstrated
+    rather than assumed. With ``oracle_pmax`` > 0 the exhaustive oracle
+    runs for every period up to the smaller of the two ceilings;
+    unmatched families are listed in ``oracle_diff`` and any disagreement
+    inside the single-peaked class is flagged as a violation (the
+    exit-code-2 condition upstream).
     """
-    return _reports([plant], pmax, prune_sign_symmetric, oracle_pmax)[0]
+    return _reports([plant], pmax, oracle_pmax)[0]
 
 
-def _reports(plants: list, pmax: Optional[int], prune: bool, oracle_pmax: int = 0) -> list[OscillationReport]:
+def _reports(plants: list, pmax: Optional[int], oracle_pmax: int = 0) -> list[OscillationReport]:
     """:func:`find_oscillations` for plants of one core response, in one pass (:func:`_sweep`).
 
     The bounds, the default pmax and the absence verdict depend on the response and the delay alone: one per delay.
@@ -749,7 +740,7 @@ def _reports(plants: list, pmax: Optional[int], prune: bool, oracle_pmax: int = 
     at = {plant.delay: plant for plant in plants}
     windows = {delay: _bounds_and_pmax(p) if pmax is None else (None, pmax) for delay, p in at.items()}
     tops = {delay: top for delay, (_, top) in windows.items()}
-    found = _sweep(plants, range(2, max(tops.values()) + 1), tops, prune)
+    found = _sweep(plants, range(2, max(tops.values()) + 1), tops)
     bounds = {d: period_bounds(at[d]) if b is None and d >= 1 else b for d, (b, _) in windows.items()}
     absence = check_absence(at[0]) if 0 in at else None
     return [
@@ -789,13 +780,4 @@ def _report(plant: PlantSpec, pmax: int, bounds, absence, records: list, oracle_
                 f"analyzer record {canon} at period {period} is missing from the oracle"
             )
 
-    return OscillationReport(
-        plant=plant,
-        pmax=pmax,
-        bounds=bounds,
-        absence=absence,
-        records=records,
-        oracle_pmax=effective_oracle,
-        oracle_diff=oracle_entries,
-        violations=violations,
-    )
+    return OscillationReport(plant, pmax, bounds, absence, records, effective_oracle, oracle_entries, violations)

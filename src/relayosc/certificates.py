@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lti import PlantSpec, check_monotone_decay, loop_gain
+from .lti import _U, PlantSpec, check_monotone_decay, loop_gain
 from .variation import (
     cyclic_diff,
     cyclic_sign_changes,
@@ -56,7 +56,7 @@ class VariationBoundVerdict:
         return self.unconditional or (self.condition1 and self.condition2)
 
 
-def variation_bounding_conditions(v, slack: float = 1e-12) -> VariationBoundVerdict:
+def variation_bounding_conditions(v) -> VariationBoundVerdict:
     """Decide whether the circulant of v preserves low-variation inputs.
 
     The circulant generated by v maps every w with cyclic difference
@@ -66,19 +66,34 @@ def variation_bounding_conditions(v, slack: float = 1e-12) -> VariationBoundVerd
     2. (d_t)^2 >= d_{t-1} * d_{t+1} for every t, indices modulo n,
        where d is the cyclic difference of v.
 
-    Condition 2 is checked with ``slack`` of negative headroom so that
-    exact equality cases (zero 2x2 minors) survive rounding. For n <= 3
-    the property holds unconditionally.
+    Condition 2 is decided for the generator v stands for, each entry
+    within one rounding (u = 2^-53) of its float: then its differences are
+    within e_t = (2u + O(u^2))(|v_t| + |v_{t+1}|) of the computed d (one
+    rounding per entry, one per subtraction), the minor
+    D_t^2 - D_{t-1} D_{t+1} within 2|d_t| e_t + |d_{t-1}| e_{t+1} +
+    |d_{t+1}| e_{t-1} + e_t^2 + e_{t-1} e_{t+1} of the same in d, and that
+    within (2u + u^2)(d_t^2 + |d_{t-1} d_{t+1}|) of its float gap. The
+    bound B_t takes 3u for each 2u + O(u^2), room for its own dozen
+    roundings; a gap below -B_t fails. So a zero minor (as between the
+    interior differences of a folded geometric kernel) survives rounding.
+    v is first scaled by a power of two, exactly, to a largest entry in
+    [1/2, 1): no square overflows, and the scale of v changes no verdict.
+    For n <= 3 the property holds unconditionally.
     """
     x = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("generator must be a nonempty vector")
     if x.size <= 3:
         return VariationBoundVerdict(True, True, None, unconditional=True)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     d = cyclic_diff(x)
     condition1 = cyclic_sign_changes(cyclic_diff(d)) <= 2
-    gaps = d**2 - np.roll(d, 1) * np.roll(d, -1)
-    bad = np.flatnonzero(gaps < -slack)
+    before, after = np.roll(d, 1), np.roll(d, -1)
+    e = 3 * _U * (np.abs(x) + np.abs(np.roll(x, -1)))
+    e_before, e_after = np.roll(e, 1), np.roll(e, -1)
+    bound = 3 * _U * (d**2 + np.abs(before * after)) + 2 * np.abs(d) * e + e**2
+    bound += np.abs(before) * e_after + np.abs(after) * e_before + e_before * e_after
+    bad = np.flatnonzero(d**2 - before * after < -bound)
     condition2 = bad.size == 0
     witness = int(bad[0]) if bad.size else None
     return VariationBoundVerdict(condition1, condition2, witness)

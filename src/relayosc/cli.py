@@ -71,12 +71,9 @@ def _build_plant(args) -> PlantSpec:
     return PlantSpec.from_dict(spec)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # -- verbs ---------------------------------------------------------------
@@ -151,18 +148,12 @@ def cmd_analyze(args) -> int:
     plant = _build_plant(args)
     _require_decay(plant)
     oracle_pmax = min(DEFAULTS.analyze_oracle_pmax, args.oracle_cap)  # find_oscillations caps it at pmax
-    report = analyzer.find_oscillations(
-        plant, pmax=args.pmax, prune_sign_symmetric=args.prune, oracle_pmax=oracle_pmax
-    )
+    report = analyzer.find_oscillations(plant, pmax=args.pmax, oracle_pmax=oracle_pmax)
     for line in _report_summary(report):
         print(line)
-    payload = (
-        json.dumps(report.to_dict(), indent=2) + "\n"
-        if args.format == "json"
-        else _records_csv(report)
-    )
-    if args.out:
-        _write_or_print(payload, args.out)
+    if args.out:  # the JSON or CSV report is built only to be written
+        payload = json.dumps(report.to_dict(), indent=2) + "\n" if args.format == "json" else _records_csv(report)
+        _write(payload, args.out)
         print(f"report written to {args.out}")
     return 2 if report.violations else 0
 
@@ -181,7 +172,7 @@ def cmd_sweep(args) -> int:
     zones = zones or [first.dead_zone]
     # every cell is the response of the first with its own delay, to which the response's own pure delay adds
     plants = [PlantSpec(first.g0, first.delay - delays[0] + d, z) for z in zones for d in delays]
-    results = analyzer._reports(plants, args.pmax, args.prune)
+    results = analyzer._reports(plants, args.pmax)
 
     violations = [v for res in results for v in res.violations]
     multi = len(zones) > 1
@@ -190,14 +181,14 @@ def cmd_sweep(args) -> int:
         rows = sorted({(res.plant.delay, rec.period) for res in cells for rec in res.records})
         lines = ["Pd,P"] + [f"{pd},{p}" for pd, p in rows]
         path = _tagged_path(args.out, "dz" + _fmt(zone).replace(".", "p")) if multi else args.out
-        _write_or_print("\n".join(lines) + "\n", path)
+        _write("\n".join(lines) + "\n", path)
         print(f"{len(rows)} (Pd, P) points -> {path}")
         bnd_lines = ["Pd,lower,upper,upper_convex,dominance_index"]
         for b in (res.bounds for res in cells if res.bounds):
             convex = "" if b.upper_convex is None else b.upper_convex
             bnd_lines.append(f"{b.delay},{b.lower},{b.upper},{convex},{b.dominance_index}")
-        bpath = (path or "bounds") + ".bounds.csv"
-        _write_or_print("\n".join(bnd_lines) + "\n", bpath)
+        bpath = path + ".bounds.csv"
+        _write("\n".join(bnd_lines) + "\n", bpath)
         print(f"bound lines -> {bpath}")
     for v in violations:
         print(f"VIOLATION: {v}", file=sys.stderr)
@@ -245,7 +236,7 @@ def cmd_simulate(args) -> int:
             rows = ["t,u,r"] + [
                 f"{t},{_fmt(traj.u[t])},{traj.relay_out[t]}" for t in range(len(traj))
             ]
-            _write_or_print("\n".join(rows) + "\n", path)
+            _write("\n".join(rows) + "\n", path)
     return 0
 
 
@@ -286,7 +277,6 @@ _FLAGS = {
     "oracle-cap": dict(
         type=int, default=DEFAULTS.oracle_cap, help="largest period the exhaustive oracle may attempt"
     ),
-    "prune": dict(action="store_true", help="skip provably impossible zero-free patterns"),
     "steps": dict(type=int, default=DEFAULTS.sim_steps, help="simulation horizon"),
     "detect-tol": dict(type=float, default=DEFAULTS.detect_tol, help="steady-state repetition tolerance"),
     "seed": dict(action="append", help="inline relay seed history, comma separated"),
@@ -295,8 +285,8 @@ _FLAGS = {
 #: each verb's handler and the flags it reads besides the plant source
 _VERBS = {
     "check-plant": (cmd_check_plant, ()),
-    "analyze": (cmd_analyze, ("pmax", "format", "out", "oracle-cap", "prune")),
-    "sweep": (cmd_sweep, ("pmax", "out", "prune")),
+    "analyze": (cmd_analyze, ("pmax", "format", "out", "oracle-cap")),
+    "sweep": (cmd_sweep, ("pmax", "out")),
     "simulate": (cmd_simulate, ("out", "seed-file", "steps", "detect-tol", "seed")),
     "oracle": (cmd_oracle, ("pmax", "oracle-cap")),
 }

@@ -1,8 +1,9 @@
-"""One place for every default the command line can override.
+"""One place for every default of the library.
 
-Values here are engineering choices, not theory: the analysis itself
-fixes none of them. Each is documented next to the flag that overrides
-it in the command-line help.
+Values here are engineering choices, not theory. Flags override
+``detect_tol``, ``oracle_cap`` and ``sim_steps`` (``--oracle-cap`` also
+lowers ``analyze_oracle_pmax``); ``--pmax`` replaces the sweep ceiling
+that ``pmax_slack`` pads, and no flag sets ``divergence_factor``.
 """
 
 from __future__ import annotations

@@ -176,6 +176,16 @@ def _require_finite_sum(sums) -> None:
         raise ValueError("the response's absolute sum is not finite")
 
 
+def _json_field(d: dict, key: str, default=None, listed: bool = False):
+    """d[key], or ``default`` when absent; ValueError unless a number, or with ``listed`` also a list of numbers."""
+    value = d[key] if default is None else d.get(key, default)
+    items = value if listed and isinstance(value, list) else [value]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+        kind = "a number or a list of numbers" if listed else "a number"
+        raise ValueError(f"plant field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 class UnstablePlantError(ValueError):
     """Denominator has a pole on or outside the stability margin."""
 
@@ -440,11 +450,11 @@ class ImpulseResponse:
             raise ValueError(f"an impulse response must be a JSON object, got {type(d).__name__}")
         kind = d.get("kind")
         if kind == GEOMETRIC:
-            return cls.geometric(d["ratio"], d.get("gain", 1.0))
+            return cls.geometric(_json_field(d, "ratio"), _json_field(d, "gain", 1.0))
         if kind == RATIONAL:
-            return cls.from_rational(d["num"], d["den"])
+            return cls.from_rational(_json_field(d, "num", listed=True), _json_field(d, "den", listed=True))
         if kind == SAMPLES:
-            return cls.from_samples(d["values"])
+            return cls.from_samples(_json_field(d, "values", listed=True))
         raise ValueError(f"unknown impulse response kind {kind!r}")
 
     def __repr__(self) -> str:
@@ -710,7 +720,10 @@ class PlantSpec:
         if version != PLANT_FORMAT_VERSION:
             raise ValueError(f"unsupported plant spec version {version}")
         g = ImpulseResponse.from_dict(d["plant"])
-        return cls.from_response(g, int(d.get("delay", 0)), float(d.get("dead_zone", 0.0)))
+        delay = _json_field(d, "delay", 0)
+        if isinstance(delay, float) and not delay.is_integer():  # int() would truncate it, or fail on inf
+            raise ValueError("delay must be a nonnegative integer")
+        return cls.from_response(g, int(delay), float(_json_field(d, "dead_zone", 0.0)))
 
 
 def loop_generator(plant: PlantSpec, period: int) -> np.ndarray:

@@ -107,20 +107,16 @@ def _num_den_taps(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
     return b, g0.den.copy()
 
 
-def simulate(
-    plant: PlantSpec,
-    seed_history,
-    steps: int,
-    divergence_factor: float = DEFAULTS.divergence_factor,
-) -> Trajectory:
+def simulate(plant: PlantSpec, seed_history, steps: int) -> Trajectory:
     """Iterate the loop for ``steps`` samples from a relay-output seed.
 
     ``seed_history`` lists relay outputs for times -len(seed) .. -1;
     earlier history is zero. The waveform magnitude can never exceed the
-    response's absolute sum, so crossing ``divergence_factor`` times
-    that bound aborts with :class:`SimulationError` (it would mean a
-    defect, not dynamics). A response whose absolute sum is not finite
-    is refused with ``ValueError`` before the first step.
+    response's absolute sum l1, so crossing the cap
+    ``DEFAULTS.divergence_factor`` * l1 aborts with
+    :class:`SimulationError` (it would mean a defect, not dynamics). A
+    response whose l1 is not finite is refused with ``ValueError``
+    before the first step.
 
     From the first step at or after ``delay`` whose relay window
     r(tau - width) .. r(t - 1) lies inside the seed and the simulated
@@ -129,8 +125,8 @@ def simulate(
     power-of-two offsets (Brent's cycle finding), so memory stays
     O(state). The newest output y(tau - 1) is a function of the state,
     so it is compared first and rejects most steps in O(1); a NaN output,
-    possible only under an infinite cap, never matches, so such a run
-    steps every sample. When the
+    possible only under an infinite cap (the factor times a finite l1
+    overflows), never matches, so such a run steps every sample. When the
     state matches, the samples from the checkpoint on repeat exactly,
     and the rest of the horizon is copied from them. Output bytes are
     compared, so -0.0 and 0.0 never count as one state. A repeated
@@ -139,7 +135,7 @@ def simulate(
     stepping every sample.
     """
     seed, l1 = _check_inputs(plant, seed_history, steps)
-    cap = divergence_factor * l1
+    cap = DEFAULTS.divergence_factor * l1
     delay = plant.delay
     dz = float(plant.dead_zone)
     b, a = (taps.tolist() for taps in _num_den_taps(plant))
@@ -225,23 +221,25 @@ def simulate(
     return Trajectory(u=u, relay_out=relay_out, seed_history=tuple(seed), plant=plant)
 
 
-def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol, window: int = 4) -> Optional[tuple[int, int]]:
+#: periods of the trailing trajectory over which :func:`detect_period` requires a repetition
+_WINDOW = 4
+
+
+def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol) -> Optional[tuple[int, int]]:
     """Smallest exact steady-state period of the trailing trajectory.
 
     A candidate period P is accepted when the relay sequence repeats
-    exactly over the trailing ``window * P`` samples (relay outputs are
+    exactly over the trailing ``_WINDOW * P`` samples (relay outputs are
     discrete, so no tolerance there) and the waveform repeats within
     ``tol``. Returns (period, phase) where rotating the trailing period
     of the relay sequence down by ``phase`` gives its canonical
     rotation; None when nothing repeats inside the window.
     """
-    if window < 2:
-        raise ValueError("window must span at least two periods")
     r = traj.relay_out
     u = traj.u
     total = u.size
-    for period in range(1, total // window + 1):
-        span = window * period
+    for period in range(1, total // _WINDOW + 1):
+        span = _WINDOW * period
         rs = r[total - span :]
         us = u[total - span :]
         if not np.array_equal(rs[period:], rs[:-period]):

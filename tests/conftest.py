@@ -40,7 +40,7 @@ from relayosc.lti import (
     loop_matrix,
 )
 from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
-from relayosc.variation import cyclic_diff, cyclic_sign_changes, relay, relay_vec, sign_changes, sign_counts
+from relayosc.variation import cyclic_diff, cyclic_sign_changes, relay, relay_vec, sign_changes
 
 
 # -- library surface only the tests use -------------------------------------
@@ -387,7 +387,7 @@ def edge_band(K) -> float:
     return 64 * K.shape[0] * 2.0**-53 * float(np.abs(K).sum(axis=1).max())
 
 
-def reference_period_records(plant, period: int, prune_sign_symmetric: bool = False):
+def reference_period_records(plant, period: int):
     """The analyzer at one period, candidate by candidate: every pattern through ``K @ s``.
 
     A candidate within :func:`edge_band` of an edge (:func:`smallest_margins`)
@@ -402,10 +402,6 @@ def reference_period_records(plant, period: int, prune_sign_symmetric: bool = Fa
     out = []
     for pattern in enumerate_unimodal_patterns(period):
         arr = np.asarray(pattern, dtype=float)
-        if prune_sign_symmetric:
-            pos, neg, zero = sign_counts(arr)
-            if zero == 0 and pos != neg:
-                continue
         u = K @ arr
         low = smallest_margins(u, arr, plant.dead_zone)
         if abs(low) <= band:  # near an edge: the exact sum decides, and is the waveform
@@ -467,12 +463,7 @@ def reference_brute_force_fixed_points(plant, period: int, cap: int = DEFAULTS.o
     return sorted(found)
 
 
-def reference_simulate(
-    plant: PlantSpec,
-    seed_history,
-    steps: int,
-    divergence_factor: float = DEFAULTS.divergence_factor,
-) -> Trajectory:
+def reference_simulate(plant: PlantSpec, seed_history, steps: int) -> Trajectory:
     """The literal step loop, without cycle detection: every sample stepped.
 
     ``simulate`` must return these waveform and relay bytes, and raise
@@ -481,7 +472,7 @@ def reference_simulate(
     if steps <= 0:
         raise ValueError("steps must be positive")
     seed = _check_seed(seed_history)
-    cap = divergence_factor * plant.g0.l1_bound()
+    cap = DEFAULTS.divergence_factor * plant.g0.l1_bound()
     delay = plant.delay
     dz = plant.dead_zone
 

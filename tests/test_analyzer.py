@@ -478,12 +478,9 @@ def record_keys(records):
 def assert_records_match_reference(plant, periods):
     found = 0
     for period in periods:
-        for prune in (False, True):
-            got = period_records(plant, period, prune)
-            assert record_keys(got) == record_keys(reference_period_records(plant, period, prune)), (
-                period, prune
-            )
-            found += len(got)
+        got = period_records(plant, period)
+        assert record_keys(got) == record_keys(reference_period_records(plant, period)), period
+        found += len(got)
     return found
 
 
@@ -658,10 +655,7 @@ class TestScreenThenVerify:
             "random": random_dead_zone,
         }[where]
         plant = PlantSpec(g, delay, float(dead_zone))
-        for prune in (False, True):
-            assert outcome(lambda: find_oscillations(plant, pmax, prune).records) == outcome(
-                lambda: reference_sweep(plant, pmax, prune)
-            ), prune
+        assert outcome(lambda: find_oscillations(plant, pmax).records) == outcome(lambda: reference_sweep(plant, pmax))
 
 
 def folded(plant, periods):
@@ -671,9 +665,9 @@ def folded(plant, periods):
     return gens
 
 
-def reference_sweep(plant, pmax, prune):
+def reference_sweep(plant, pmax):
     """The records of ``find_oscillations``, one period at a time from the reference; its bounds may raise."""
-    records = [r for period in range(2, pmax + 1) for r in reference_period_records(plant, period, prune)]
+    records = [r for period in range(2, pmax + 1) for r in reference_period_records(plant, period)]
     if plant.delay:
         period_bounds(plant)
     return sorted(records, key=lambda r: (r.period, r.pattern))
@@ -825,12 +819,6 @@ class TestFindOscillations:
         assert report.violations == []
         assert report.bounds.upper == 20
 
-    def test_pruned_matches_unpruned(self):
-        for plant in (geometric_plant(0.1, 5), geometric_plant(0.9, 3), geometric_plant(0.1, 3, 0.8)):
-            a = find_oscillations(plant, pmax=12)
-            b = find_oscillations(plant, pmax=12, prune_sign_symmetric=True)
-            assert [r.pattern for r in a.records] == [r.pattern for r in b.records]
-
     def test_dead_zone_case_and_oracle_diff(self):
         report = find_oscillations(geometric_plant(0.1, 3, 0.8), pmax=8, oracle_pmax=8)
         assert report.violations == []
@@ -861,23 +849,6 @@ class TestFindOscillations:
         assert report.violations == [
             f"oracle found an unmatched single-peaked fixed pattern {missed} at period 6"
         ]
-
-    def test_oracle_flags_a_fixed_family_the_pruning_skips(self, monkeypatch):
-        # pruning skips zero-free patterns whose sign counts differ; make it
-        # skip a fixed family and the oracle must report the gap
-        import relayosc.analyzer as analyzer_mod
-
-        fixed = (-1, -1, -1, 1, 1, 1)
-        counts = analyzer_mod.sign_counts
-        monkeypatch.setattr(
-            analyzer_mod,
-            "sign_counts",
-            lambda v: (3, 2, 0) if tuple(int(x) for x in v) == fixed else counts(v),
-        )
-        plant = geometric_plant(0.1, 3, 0.8)
-        report = find_oscillations(plant, pmax=8, prune_sign_symmetric=True, oracle_pmax=8)
-        assert any(e.pattern == fixed and not e.in_analyzer for e in report.oracle_diff)
-        assert f"oracle found an unmatched single-peaked fixed pattern {fixed} at period 6" in report.violations
 
     def test_records_sign_symmetric(self):
         for plant in (geometric_plant(0.1, 9), geometric_plant(0.9, 4), geometric_plant(0.1, 3, 0.8)):

@@ -44,6 +44,19 @@ class TestVariationBoundingConditions:
                 gb = periodic_summation(ImpulseResponse.geometric(ratio), period)
                 assert variation_bounding_conditions(gb).passed
 
+    def test_the_verdict_does_not_depend_on_the_scale(self):
+        # every minor is judged against a bound relative to the generator's entries, so the verdict is
+        # the same at any scale: exactly at a power of two, and for a failing minor well clear of its bound
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            v = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(4, 12))))[::-1]
+            verdict = variation_bounding_conditions(v)
+            for k in (-30, -20, 0, 20):
+                assert variation_bounding_conditions(v * 2.0**k) == verdict, (v, k)
+        v = np.array([1, 0.5, 0.3, 0.1, 0.05])
+        assert not variation_bounding_conditions(v).passed
+        assert not variation_bounding_conditions(v * 1e-7).passed
+
     def test_alternating_generator_fails_with_witness(self):
         v = np.array([1, -1, 1, -1, 1, -1], float)
         verdict = variation_bounding_conditions(v)

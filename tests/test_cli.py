@@ -201,7 +201,6 @@ class TestSweep:
         assert (tmp_path / "pts_dz0.csv").exists()
         assert (tmp_path / "pts_dz0p8.csv").exists()
 
-    @pytest.mark.parametrize("prune", [False, True], ids=["all", "prune"])
     @pytest.mark.parametrize(
         "source, response",
         [
@@ -211,16 +210,16 @@ class TestSweep:
         ],
         ids=["geometric", "rational", "samples"],
     )
-    def test_one_pass_matches_the_per_cell_reference(self, source, response, prune, tmp_path, capsys):
+    def test_one_pass_matches_the_per_cell_reference(self, source, response, tmp_path, capsys):
         # one pass over every cell writes the bytes of one find_oscillations per (delay, dead zone)
         # cell; the rational and finite responses carry a pure delay of their own
         out = str(tmp_path / "pts.csv")
         argv = ["sweep", *source, "--delay", "0:4", "--dead-zone", "0,0.3", "--out", out]
-        assert cli.main(argv + ["--prune"] * prune) == 0
+        assert cli.main(argv) == 0
         capsys.readouterr()
         for zone, tag in ((0.0, "dz0"), (0.3, "dz0p3")):
             cells = [{"plant": response, "delay": delay, "dead_zone": zone} for delay in range(5)]
-            reports = [find_oscillations(PlantSpec.from_dict(cell), prune_sign_symmetric=prune) for cell in cells]
+            reports = [find_oscillations(PlantSpec.from_dict(cell)) for cell in cells]
             points = sorted({(r.plant.delay, rec.period) for r in reports for rec in r.records})
             assert points
             bounds = [
@@ -372,6 +371,16 @@ class TestSimulateVerb:
         ("[1, 2]", ["check-plant", "--plant", "{}"], "a plant spec must be a JSON object, got list"),
         ('{"plant": [1]}', ["check-plant", "--plant", "{}"], "an impulse response must be a JSON object, got list"),
         (
+            '{"plant": {"kind": "geometric", "ratio": null}}',
+            ["check-plant", "--plant", "{}"],
+            "plant field 'ratio' must be a number, got None",
+        ),
+        (
+            '{"plant": {"kind": "geometric", "ratio": 0.5}, "delay": [1]}',
+            ["check-plant", "--plant", "{}"],
+            "plant field 'delay' must be a number, got [1]",
+        ),
+        (
             '{"seeds": [1, 2]}',
             ["simulate", "--geometric", "0.5", "--delay", "1", "--seed-file", "{}"],
             "a seed file holds a list of seed lists, or an object whose 'seeds' entry is one",
@@ -382,7 +391,10 @@ class TestSimulateVerb:
             "seed history entries must lie in {-1, 0, +1}",
         ),
     ],
-    ids=["plant-list-with-delay", "plant-list", "response-list", "seed-not-a-list", "seed-entry-null"],
+    ids=[
+        "plant-list-with-delay", "plant-list", "response-list", "ratio-null", "delay-list",
+        "seed-not-a-list", "seed-entry-null",
+    ],
 )
 def test_a_json_file_of_the_wrong_shape_is_an_error_line(content, argv, message, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -435,10 +447,12 @@ def test_nan_dead_zone_is_refused(verb, flags, capsys):
         ["sweep", "--geometric", "0.1", "--delay", "1:3", "--out", "pts.csv", "--tol", "1e-12"],
         ["oracle", "--geometric", "0.1", "--delay", "3", "--tol", "1e-12"],
         ["sweep", "--geometric", "0.1", "--delay", "1:3", "--out", "pts.csv", "--workers", "2"],
+        ["analyze", "--geometric", "0.1", "--delay", "3", "--prune"],
+        ["sweep", "--geometric", "0.1", "--delay", "1:3", "--out", "pts.csv", "--prune"],
     ],
     ids=[
         "check-plant", "analyze", "sweep", "simulate", "oracle",
-        "check-plant-tol", "analyze-tol", "sweep-tol", "oracle-tol", "sweep-workers",
+        "check-plant-tol", "analyze-tol", "sweep-tol", "oracle-tol", "sweep-workers", "analyze-prune", "sweep-prune",
     ],
 )
 def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, capsys):
