@@ -65,7 +65,7 @@ __all__ = [
     "default_pmax",
 ]
 
-#: low base-3 digits per oracle block (3**10 patterns per block)
+#: low base-3 digits per oracle block, the first fixed at -1 (3**9 patterns per block)
 _ORACLE_CHUNK = 10
 #: candidate rows the analyzer screens at once, which bounds the screen's temporaries at any pmax
 _SCREEN_ROWS = 2048
@@ -597,34 +597,30 @@ def _digit_table(n: int) -> np.ndarray:
     return table
 
 
-def _digit_sums(weights: np.ndarray) -> np.ndarray:
-    """Entry (i, c) is sum_j d_j weights[j, i], d row c of ``_digit_table(len(weights))``, added digit by digit."""
-    sums = np.zeros((weights.shape[1], 1))
+def _digit_sums(weights: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Entry (i, c) is start_i + sum_j d_j weights[j, i], d row c of ``_digit_table(len(weights))``, added digit by digit."""
+    sums = start[:, None]
     for w in weights:
         sums = (np.multiply.outer(w, [-1.0, 0.0, 1.0])[:, :, None] + sums[:, None, :]).reshape(w.size, -1)
     return sums
 
 
 def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float) -> np.ndarray:
-    """The rows of the first half of the blocks, the middle one halved, that no column rejects; see the oracle."""
+    """The run-start rows, s_0 = -1 and s_{P-1} != -1, that no column rejects; see the oracle."""
     period = kernel.shape[0]
-    table = _digit_table(low)
-    low_sums, high_sums = _digit_sums(kernel[:low]), _digit_sums(kernel[low:])
+    table = _digit_table(low)[::3]  # row c: s_0 = -1, then the digits of c
+    low_sums, high_sums = _digit_sums(kernel[1:low], -kernel[0]), _digit_sums(kernel[low:], np.zeros(period))
     blocks = _digit_table(period - low)
-    middle, zero_row = (len(blocks) - 1) // 2, (3**low - 1) // 2
-    survivors = [np.empty((0, period), dtype=np.int8)]
-    for block in range(middle + 1):  # of n blocks, block n - 1 - b holds the negated rows of b
+    survivors = []
+    for block in range(len(blocks) // 3, len(blocks)):  # the blocks whose last digit, s_{P-1}, is 0 or 1
         v, digits = high_sums[:, block], blocks[block]
         # high columns first: their level is the block's digit for every row
-        level = digits[-1] if low < period else table[:, -1]
-        keep = np.flatnonzero(_margin(low_sums[-1] + v[-1], level, dead_zone) >= -tau)
+        keep = np.flatnonzero(_margin(low_sums[-1] + v[-1], digits[-1], dead_zone) >= -tau)
         for i in range(period - 2, -1, -1):
             if not keep.size:
                 break
             level = digits[i - low] if i >= low else table[keep, i]
             keep = keep[_margin(low_sums[i, keep] + v[i], level, dead_zone) >= -tau]
-        if block == middle:  # row c negated is row 3^low - 1 - c; the all-zero row is never reported
-            keep = keep[keep < zero_row]
         survivors.append(np.hstack([table[keep], np.broadcast_to(digits, (keep.size, period - low))]))
     return np.vstack(survivors)
 
@@ -632,28 +628,28 @@ def _oracle_screen(kernel: np.ndarray, low: int, dead_zone: float, tau: float) -
 def brute_force_fixed_points(plant: PlantSpec, period: int, cap: int = DEFAULTS.oracle_cap) -> list[tuple[int, ...]]:
     """Every fixed sign pattern at one period, by exhausting all 3^P of them.
 
-    Enumerates each candidate individually (no rotation pruning, no
-    shape assumptions), so the result is an independent oracle for the
-    analyzer. The all-zero pattern, a trivial fixed point of every loop,
-    is excluded. Patterns are returned sorted; rotations of a family
-    appear individually.
+    Assumes no pattern shape, so the result is an independent oracle for
+    the analyzer. The all-zero pattern, a trivial fixed point of every
+    loop, is excluded. Patterns are returned sorted, rotations included.
 
-    Pattern c has the base-3 digits of c, lowest first, minus one. One row
-    block holds the 3^10 low digit rows; only its high columns change.
+    Only run-start rows are judged: s_0 = -1 and s_{P-1} != -1, and the
+    all-(-1) row, 2 3^(P-2) + 1 in all. Every nonzero pattern, or its
+    negation, turns a run of -1 to the front to give one. K is circulant:
+    row i of K times s turned by k holds the products of row i + k times
+    s, so each turn and negation of s has the turned or negated exact
+    sums, and the verdict of s from :func:`_judge`. A fixed row adds its
+    P turns and their negations. Row c has the base-3 digits of c, lowest
+    first, minus one; the rows of a block share s_0 = -1 and the high digits.
 
     Screen, then judge. Entry i of K @ s sums P exact terms of absolute
     sum at most sigma, the largest row sum of |K|. The screen adds them
-    digit by digit, the low and the high digits' sums apart, once per
-    period, then one add per row: a summation tree off the exact sum by at
-    most gamma_{P-1} sigma, within tau = 18 P u sigma
+    digit by digit from -K[i, 0], the low and the high digits' sums apart,
+    once per period, then one add per row: a summation tree off the exact
+    sum by at most gamma_{P-1} sigma, within tau = 18 P u sigma
     (:func:`_rounding_bound`). Column by column, high ones first, a row is
     rejected when its rounded margin to its own level is below -tau, as
     the judge would reject it. Every survivor goes to :func:`_judge`, so
-    the result does not depend on the block size. Negating a row negates
-    each of its sums exactly, and the negated rows of block b of n fill
-    block n - 1 - b, those of the middle block the middle block: the
-    screen covers the first half of the rows, the all-zero row excluded,
-    and the judge's verdict on a survivor holds for its negation.
+    the result does not depend on the block size.
     """
     if period < 1:
         raise ValueError("period must be positive")
@@ -661,10 +657,11 @@ def brute_force_fixed_points(plant: PlantSpec, period: int, cap: int = DEFAULTS.
         raise ValueError(f"period {period} exceeds the oracle cap {cap} (3^P candidates)")
     K = loop_matrix(plant, period)
     tau = _rounding_bound(period, float(np.abs(K).sum(axis=1).max()))
-    found = set()
-    for row in _oracle_screen(K.T, min(period, _ORACLE_CHUNK), plant.dead_zone, tau).tolist():
+    low = min(period - 1, _ORACLE_CHUNK)
+    found, screened = set(), _oracle_screen(K.T, low, plant.dead_zone, tau).tolist() if low else []
+    for row in [[-1] * period] + screened:  # the all-(-1) row unscreened
         if _judge(K, np.array(row, dtype=float), plant.dead_zone, tau) is not None:
-            found.update((tuple(row), tuple(-x for x in row)))
+            found.update(tuple(r[k:] + r[:k]) for r in (row, [-x for x in row]) for k in range(period))
     return sorted(found)
 
 

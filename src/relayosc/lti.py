@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -183,6 +184,8 @@ def _json_field(d: dict, key: str, default=None, listed: bool = False):
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
         kind = "a number or a list of numbers" if listed else "a number"
         raise ValueError(f"plant field {key!r} must be {kind}, got {value!r}")
+    if any(isinstance(x, int) and abs(x) > sys.float_info.max for x in items):  # float() would overflow
+        raise ValueError(f"plant field {key!r} is too large for a float")
     return value
 
 

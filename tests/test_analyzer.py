@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import conftest
 from relayosc import analyzer
 from relayosc.analyzer import (
     _SLOTS,
@@ -440,26 +439,70 @@ class TestOracleAgainstReference:
         for period in range(1, 13):
             assert brute_force_fixed_points(plant, period) == reference_brute_force_fixed_points(plant, period) == []
 
-    @pytest.mark.parametrize("a0, a1", [(2.0, 2.0), (5.0, -3.0)], ids=["zero-slot", "plus-slot"])
-    def test_rows_that_round_apart_go_to_the_block_product(self, a0, a1, monkeypatch):
-        # u_0 = a0 s_0 + a1 s_1 + 2^-52 (s_10 + s_11) at dead zone 2, with s_1 = s_10 forced
-        # and s_2..s_9 = 0. In the block s_10 = s_11 = 1, one row puts u_0 at 2: summed left
-        # to right it is 2, an edge, while the screen adds the high digits first and gets
-        # 2 + 2^-51. The row survives the screen within the rounding allowance, and its
-        # exact sum decides it (the name is kept from when a block matrix product did)
-        assert 2.0 + 2.0**-52 + 2.0**-52 != 2.0 + (2.0**-52 + 2.0**-52)
-        K = np.zeros((12, 12))
-        K[0, :2], K[0, 10:] = (a0, a1), 2.0**-52
-        K[1, 10] = K[10, 10] = K[11, 11] = 3.0
-        for module in (analyzer, conftest):
-            monkeypatch.setattr(module, "loop_matrix", lambda plant, p: K)
-        plant = geometric_plant(0.1, 1, 2.0)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(responses(), st.integers(0, 6), st.sampled_from(range(1, 13)), st.booleans(), st.floats(0.0, 2.0))
+    def test_closed_under_rotation_and_negation(self, g, delay, period, at_edge, random_dead_zone):
+        # the result is closed under rotation and negation, and the judge accepts exactly its run-start rows
+        edge = max(dead_zone_threshold(PlantSpec(g, delay)), 0.0) if delay else 0.0
+        plant = PlantSpec(g, delay, edge if at_edge else random_dead_zone)
+        accepted = []
+        judge = analyzer._judge
+
+        def spy(K, s, dead_zone, tau):
+            u = judge(K, s, dead_zone, tau)
+            if u is not None:
+                accepted.append(tuple(int(x) for x in s))
+            return u
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(analyzer, "_judge", spy)
+            found = brute_force_fixed_points(plant, period)
+        orbits = {q for p in found for k in range(period) for q in (p[k:] + p[:k], tuple(-x for x in p[k:] + p[:k]))}
+        assert orbits == set(found)
+        assert sorted(accepted) == [p for p in found if p[0] == -1 and (p[-1] != -1 or set(p) == {-1})]
+
+    @pytest.mark.parametrize(
+        "samples, delay, head, fixed",
+        [
+            ([3.0, -1.0, -1.0, -(2.0**-52), -(2.0**-52)], 10, [1.0, 1.0, -3.0, 0.0, 0.0, 0.0], False),
+            (
+                [1.0, -(2.0**-52), -(2.0**-52), 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, -5.0],
+                0,
+                [-1.0, 5.0, 0.0, 0.0, 0.0, -3.0],
+                True,
+            ),
+        ],
+        ids=["zero-slot", "plus-slot"],
+    )
+    def test_rows_that_round_apart_use_exact_sums(self, samples, delay, head, fixed, monkeypatch):
+        # row 0 of K is head, zeros, then 2^-52 at columns 10 and 11. Where a row's head terms sum to
+        # the dead zone 2 (or -2) and both small terms push the same way, its sum in column order
+        # rounds to the edge, while the exact sum lies 2^-51 past it and the screen, adding the high
+        # digits apart, gets that exactly. Such rows survive the screen within the rounding
+        # allowance, and their exact sums decide them: a zero entry rejected, or a +-1 entry accepted
+        eps = 2.0**-52
+        assert 2.0 + eps + eps != 2.0 + (eps + eps)
+        plant = PlantSpec(ImpulseResponse.from_samples(samples), delay, 2.0)
+        assert loop_matrix(plant, 12)[0].tolist() == head + [0.0] * 4 + [eps, eps]
+        decided = []
+        exact_sums = analyzer._exact_sums
+
+        def spy(K, s):
+            u = exact_sums(K, s)
+            in_order = [sum(row) for row in (K * s).tolist()]
+            decided.append((tuple(int(x) for x in s), relay_vec(u, 2.0), relay_vec(in_order, 2.0)))
+            return u
+
+        monkeypatch.setattr(analyzer, "_exact_sums", spy)
         found = brute_force_fixed_points(plant, 12)
         assert found == reference_brute_force_fixed_points(plant, 12)
         assert found
+        apart = [(s, np.array_equal(exact, s)) for s, exact, in_order in decided if not np.array_equal(exact, in_order)]
+        assert fixed in {is_fixed for s, is_fixed in apart if s != (-1,) * 12}  # that row skips the screen
+        assert all((s in found) == is_fixed for s, is_fixed in apart)
 
     def test_fourteen_digits_in_a_fraction_of_a_second(self):
-        # 81 blocks of 3^10 rows; a matrix product over every block alone takes about 0.4 s
+        # 3^14 rows; a matrix product over all of them alone takes about 0.4 s
         plant = geometric_plant(0.1, 9)
         with time_limit(0.25):
             found = brute_force_fixed_points(plant, 14)
@@ -709,6 +752,23 @@ class TestOracleBlocks:
         found = brute_force_fixed_points(geometric_plant(0.1, 1), period)
         assert len(found) == len(set(found)) == 3**period - 1
         assert (0,) * period not in found
+
+    @pytest.mark.parametrize("period", [1, 10, 11])
+    def test_the_judge_sees_one_run_start_row_per_orbit(self, period, monkeypatch):
+        # with an identity loop every row survives the screen: the judge sees every representative,
+        # s_0 = -1 and s_{P-1} != -1, and the all-(-1) row, 2 3^(P-2) + 1 rows (1 at P = 1)
+        monkeypatch.setattr(analyzer, "loop_matrix", lambda plant, p: np.eye(p))
+        judged = []
+        judge = analyzer._judge
+
+        def spy(K, s, dead_zone, tau):
+            judged.append(tuple(int(x) for x in s))
+            return judge(K, s, dead_zone, tau)
+
+        monkeypatch.setattr(analyzer, "_judge", spy)
+        brute_force_fixed_points(geometric_plant(0.1, 1), period)
+        assert len(judged) == len(set(judged)) == 2 * 3**period // 9 + 1
+        assert all(s[0] == -1 and (s[-1] != -1 or set(s) == {-1}) for s in judged)
 
 
 def threshold_probe():

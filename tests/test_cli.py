@@ -381,6 +381,16 @@ class TestSimulateVerb:
             "plant field 'delay' must be a number, got [1]",
         ),
         (
+            '{"plant": {"kind": "geometric", "ratio": 0.5}, "dead_zone": 1%s}' % ("0" * 400),
+            ["check-plant", "--plant", "{}"],
+            "plant field 'dead_zone' is too large for a float",
+        ),
+        (
+            '{"plant": {"kind": "geometric", "ratio": 1%s}}' % ("0" * 400),
+            ["check-plant", "--plant", "{}"],
+            "plant field 'ratio' is too large for a float",
+        ),
+        (
             '{"seeds": [1, 2]}',
             ["simulate", "--geometric", "0.5", "--delay", "1", "--seed-file", "{}"],
             "a seed file holds a list of seed lists, or an object whose 'seeds' entry is one",
@@ -393,6 +403,7 @@ class TestSimulateVerb:
     ],
     ids=[
         "plant-list-with-delay", "plant-list", "response-list", "ratio-null", "delay-list",
+        "dead-zone-huge", "ratio-huge",
         "seed-not-a-list", "seed-entry-null",
     ],
 )
