@@ -34,14 +34,7 @@ from .lti import (
     loop_matrix,
     periodic_summation,
 )
-from .variation import (
-    cyclic_diff,
-    cyclic_sign_changes,
-    is_sign_symmetric,
-    max_cyclic_sign_changes,
-    relay_vec,
-    sign_counts,
-)
+from .variation import _flags, max_cyclic_sign_changes, relay_vec
 
 __all__ = [
     "InternalCheckError",
@@ -281,11 +274,19 @@ def _bounds_and_pmax(plant: PlantSpec) -> tuple[Optional[PeriodBounds], int]:
 # -- pattern enumeration --------------------------------------------------
 
 
-def canonical_rotation(pattern) -> tuple[int, ...]:
-    """Lexicographically smallest cyclic rotation (entries ordered -1 < 0 < 1)."""
+def _canonical_roll(pattern) -> int:
+    """The smallest k for which ``np.roll(pattern, k)`` is the canonical rotation (:func:`canonical_rotation`)."""
     s = [int(x) for x in pattern]
     n = len(s)
-    return min(tuple(s[k:] + s[:k]) for k in range(n))
+    rolls = [s[n - k :] + s[: n - k] for k in range(n)]
+    return rolls.index(min(rolls))
+
+
+def canonical_rotation(pattern) -> tuple[int, ...]:
+    """Lexicographically smallest cyclic rotation (-1 < 0 < 1): the pattern rolled by :func:`_canonical_roll`."""
+    s = [int(x) for x in pattern]
+    k = len(s) - _canonical_roll(s)
+    return tuple(s[k:] + s[:k])
 
 
 def enumerate_unimodal_patterns(period: int) -> list[tuple[int, ...]]:
@@ -318,21 +319,17 @@ def _sweep_rows(periods) -> np.ndarray:
 
 
 def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
-    period = int(u.size)
-    canon = canonical_rotation(pattern)
-    # align the stored waveform with the canonical rotation
-    for k in range(period):
-        if tuple(int(x) for x in np.roll(pattern, k)) == canon:
-            u = np.roll(u, k)
-            break
-    diff_var = cyclic_sign_changes(cyclic_diff(u))
+    """The record of a fixed pattern and its waveform, both rolled to the canonical rotation."""
+    k = _canonical_roll(pattern)
+    u, pattern = np.roll(u, k), np.roll(pattern, k)
+    diff_var, pattern_unimodal, symmetric = _flags(u, pattern)
     return OscillationRecord(
-        period=period,
-        pattern=canon,
+        period=int(u.size),
+        pattern=tuple(int(x) for x in pattern),
         waveform=tuple(float(x) for x in u),
         unimodal=diff_var == 2,
-        pattern_unimodal=max_cyclic_sign_changes(np.asarray(canon, float)) == 2,
-        sign_symmetric=is_sign_symmetric(np.asarray(canon, float)),
+        pattern_unimodal=pattern_unimodal,
+        sign_symmetric=symmetric,
         is_self_oscillation=diff_var >= 2,
     )
 
@@ -682,17 +679,12 @@ def oracle_families(plant: PlantSpec, period: int, matched) -> list[OracleEntry]
 
 
 def _thm_necessity_violations(rec: OscillationRecord) -> list[str]:
+    """An admissible record, or a zero-free one (period = 2 * positive count), must be sign-symmetric."""
     out = []
-    pos, neg, zero = sign_counts(np.asarray(rec.pattern, float))
-    if rec.admissible and pos != neg:
-        out.append(
-            f"admissible record at period {rec.period} is not sign-symmetric "
-            f"(pattern {rec.pattern})"
-        )
-    if zero == 0 and rec.period != 2 * pos:
-        out.append(
-            f"zero-free record at period {rec.period} violates period = 2 * positive count"
-        )
+    if not rec.sign_symmetric and rec.admissible:
+        out.append(f"admissible record at period {rec.period} is not sign-symmetric (pattern {rec.pattern})")
+    if not rec.sign_symmetric and 0 not in rec.pattern:
+        out.append(f"zero-free record at period {rec.period} violates period = 2 * positive count")
     return out
 
 

@@ -20,13 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .lti import _U, PlantSpec, check_monotone_decay, loop_gain
-from .variation import (
-    cyclic_diff,
-    cyclic_sign_changes,
-    is_sign_symmetric,
-    max_cyclic_sign_changes,
-    relay_vec,
-)
+from .variation import _flags, cyclic_diff, cyclic_sign_changes, max_cyclic_sign_changes, relay_vec
 
 __all__ = [
     "VariationBoundVerdict",
@@ -140,17 +134,17 @@ def open_loop_variation_check(plant: PlantSpec, u) -> LoopInvarianceReport:
     x = np.asarray(u, dtype=float)
     notes: list[str] = []
     pattern = relay_vec(x, plant.dead_zone)
+    diff_var, pattern_unimodal, symmetric = _flags(x, pattern)
     decay = check_monotone_decay(plant.g0)
     if not decay.passed:
         notes.append("plant response is not certified monotonically decaying")
     if not np.any(x != 0.0):
         notes.append("waveform is identically zero")
-    elif cyclic_sign_changes(cyclic_diff(x)) != 2:
+    elif diff_var != 2:
         notes.append("waveform is not single-peaked (difference variation != 2)")
-    if max_cyclic_sign_changes(pattern) != 2:
+    if not pattern_unimodal:
         notes.append("relay pattern is not single-peaked (zero-resolved variation != 2)")
     response = loop_gain(plant, pattern)
-    symmetric = is_sign_symmetric(pattern)
     return LoopInvarianceReport(
         preconditions_ok=not notes,
         notes=tuple(notes),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analyzer
@@ -35,15 +36,21 @@ def _fmt(x: float) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """'3' -> [3]; '1:4' -> [1,2,3,4]; '1,3,9' -> [1,3,9]."""
+    """'3' -> [3]; '1:4' -> [1,2,3,4]; '1,3,9' -> [1,3,9]; ValueError when empty."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(tok) for tok in text.split(",") if tok], text)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return _nonempty([float(tok) for tok in text.split(",") if tok], text)
+
+
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise ValueError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _build_plant(args) -> PlantSpec:
@@ -165,8 +172,6 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs --out for its CSV files")
     delays = _parse_int_list(args.delay)
     zones = _parse_float_list(args.dead_zone) if args.dead_zone is not None else None
-    if not delays or zones == []:
-        raise ValueError("sweep ranges must be nonempty")
     first = _build_plant(args)  # the first cell, as analyze builds it: without --dead-zone, the file's dead zone
     _require_decay(first)
     zones = zones or [first.dead_zone]
@@ -241,9 +246,9 @@ def cmd_simulate(args) -> int:
 
 
 def _tagged_path(out: str, tag: str) -> str:
-    """``out`` with ``_tag`` inserted before its extension."""
-    stem, dot, ext = out.rpartition(".")
-    return f"{stem}_{tag}{dot}{ext}" if stem else f"{out}_{tag}"
+    """``out`` with ``_tag`` inserted before the extension of its base name, if it has one."""
+    stem, ext = os.path.splitext(out)
+    return f"{stem}_{tag}{ext}"
 
 
 def cmd_oracle(args) -> int:

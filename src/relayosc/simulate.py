@@ -37,16 +37,10 @@ from typing import Optional
 
 import numpy as np
 
-from .analyzer import canonical_rotation
+from .analyzer import _canonical_roll
 from .config import DEFAULTS
 from .lti import GEOMETRIC, SAMPLES, PlantSpec, loop_gain
-from .variation import (
-    cyclic_diff,
-    cyclic_sign_changes,
-    is_sign_symmetric,
-    max_cyclic_sign_changes,
-    relay_vec,
-)
+from .variation import _flags, relay_vec
 
 __all__ = [
     "SimulationError",
@@ -231,9 +225,9 @@ def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol) -> Optiona
     A candidate period P is accepted when the relay sequence repeats
     exactly over the trailing ``_WINDOW * P`` samples (relay outputs are
     discrete, so no tolerance there) and the waveform repeats within
-    ``tol``. Returns (period, phase) where rotating the trailing period
-    of the relay sequence down by ``phase`` gives its canonical
-    rotation; None when nothing repeats inside the window.
+    ``tol``. Returns (period, phase), the phase the smallest k for which
+    ``np.roll`` of the trailing period of the relay sequence by k is its
+    canonical rotation; None when nothing repeats inside the window.
     """
     r = traj.relay_out
     u = traj.u
@@ -247,12 +241,7 @@ def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol) -> Optiona
         gap = np.max(np.abs(us[period:] - us[:-period]))
         if not gap <= tol:  # a NaN gap fails too
             continue
-        tail = r[total - period :].astype(np.int8)
-        canon = np.array(canonical_rotation(tail), dtype=np.int8).tobytes()
-        # np.roll(tail, k) is doubled[period - k : 2 * period - k]; the last
-        # match in the doubled tail gives the smallest k
-        doubled = np.concatenate([tail, tail]).tobytes()
-        return period, period - doubled.rfind(canon)
+        return period, _canonical_roll(r[total - period :])
     return None
 
 
@@ -271,17 +260,6 @@ class ClassificationFlags:
     def admissible(self) -> bool:
         return self.unimodal and self.pattern_unimodal
 
-    def to_dict(self) -> dict:
-        return {
-            "pattern": list(self.pattern),
-            "residual": self.residual,
-            "is_self_oscillation": self.is_self_oscillation,
-            "unimodal": self.unimodal,
-            "pattern_unimodal": self.pattern_unimodal,
-            "admissible": self.admissible,
-            "sign_symmetric": self.sign_symmetric,
-        }
-
 
 def classify(u_period, plant: PlantSpec, tol: float = DEFAULTS.detect_tol) -> ClassificationFlags:
     """Classify one period of a waveform as an oscillation of the plant's loop.
@@ -295,13 +273,12 @@ def classify(u_period, plant: PlantSpec, tol: float = DEFAULTS.detect_tol) -> Cl
     pattern = relay_vec(u, plant.dead_zone)
     response = loop_gain(plant, pattern)
     residual = float(np.max(np.abs(response - u)))
-    nonzero = bool(np.any(u != 0.0))
-    diff_var = cyclic_sign_changes(cyclic_diff(u)) if nonzero else -1
+    diff_var, pattern_unimodal, symmetric = _flags(u, pattern)
     return ClassificationFlags(
         pattern=tuple(int(x) for x in pattern),
         residual=residual,
         is_self_oscillation=residual <= tol and diff_var >= 2,
-        unimodal=nonzero and diff_var == 2,
-        pattern_unimodal=max_cyclic_sign_changes(pattern.astype(float)) == 2,
-        sign_symmetric=is_sign_symmetric(pattern.astype(float)),
+        unimodal=diff_var == 2,
+        pattern_unimodal=pattern_unimodal,
+        sign_symmetric=symmetric,
     )

@@ -191,6 +191,11 @@ def is_sign_symmetric(v) -> bool:
     return pos == neg
 
 
+def _flags(u, pattern) -> tuple[int, bool, bool]:
+    """(cyclic variation of u's cyclic difference, -1 for zero u; relay pattern single-peaked; sign-symmetric)."""
+    return cyclic_sign_changes(cyclic_diff(u)), max_cyclic_sign_changes(pattern) == 2, is_sign_symmetric(pattern)
+
+
 def is_periodically_unimodal(v) -> bool:
     """True when one period of v has a single rise and a single fall.
 

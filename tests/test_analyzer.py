@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from relayosc.analyzer import (
     enumerate_unimodal_patterns,
     exists_base_oscillation,
     find_oscillations,
+    oracle_families,
     period_bounds,
     period_records,
     verify_fixed_point,
@@ -124,6 +126,14 @@ class TestPatternEnumeration:
             for pat in enumerate_unimodal_patterns(period):
                 assert max_cyclic_sign_changes(np.asarray(pat, float)) == 2
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=12))
+    def test_canonical_rotation_is_the_smallest_roll(self, pattern):
+        rolls = [tuple(int(x) for x in np.roll(pattern, k)) for k in range(len(pattern))]
+        assert canonical_rotation(pattern) == min(rolls)
+        # np.roll by _canonical_roll gives it, and no smaller k does
+        assert analyzer._canonical_roll(pattern) == rolls.index(min(rolls))
+
     def test_canonical_and_distinct(self):
         for period in (4, 6, 9):
             pats = enumerate_unimodal_patterns(period)
@@ -155,11 +165,29 @@ class TestVerifyFixedPoint:
             assert rec.admissible and rec.sign_symmetric and rec.is_self_oscillation
 
     def test_rotations_all_verify(self):
-        plant = geometric_plant(0.1, 9)
-        base = [1, 1, 1, -1, -1, -1]
-        recs = [verify_fixed_point(plant, np.roll(base, k)) for k in range(6)]
-        assert all(r is not None for r in recs)
-        assert len({r.pattern for r in recs}) == 1  # one canonical family
+        # every rotation of a fixed pattern gives the record of its canonical rotation, the
+        # non-primitive (-1, 1, -1, 1) too; the waveform is K @ s of the rotation given, rolled, and
+        # K @ s sums each row in the rotation's own column order, so its last bits may differ
+        plants = [
+            geometric_plant(0.1, 9),
+            geometric_plant(0.5, 3, 0.2),
+            PlantSpec(ImpulseResponse.from_rational([1, 0, 0], [1, -1.1, 0.28]), 2),
+            PlantSpec(ImpulseResponse.from_samples([1, 0.6, 0.3, 0.1]), 4),
+        ]
+        for plant in plants:
+            patterns = {r.pattern for r in find_oscillations(plant, pmax=20).records}
+            patterns |= {e.pattern for period in range(2, 9) for e in oracle_families(plant, period, set())}
+            if plant == plants[0]:
+                assert (-1, 1, -1, 1) in patterns
+            for pattern in patterns:
+                ref = verify_fixed_point(plant, pattern)
+                assert ref.pattern == pattern
+                K = loop_matrix(plant, len(pattern))
+                tau = analyzer._rounding_bound(len(pattern), float(np.abs(K).sum(axis=1).max()))
+                for k in range(len(pattern)):
+                    rec = verify_fixed_point(plant, np.roll(pattern, k))
+                    assert dataclasses.replace(rec, waveform=ref.waveform) == ref
+                    assert np.max(np.abs(np.subtract(rec.waveform, ref.waveform))) <= 2 * tau
 
     def test_zero_delay_never_fixes(self):
         plant = geometric_plant(0.1, 0)

@@ -129,6 +129,33 @@ class TestAnalyze:
         for rec in report.records:
             assert verify_fixed_point(report.plant, rec.pattern) == rec
 
+    def test_csv_report(self, tmp_path, monkeypatch, capsys):
+        # the README example: one row per record, in the JSON report's order
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", "--geometric", "0.1", "--delay", "9"]
+        assert cli.main([*argv, "--format", "csv", "--out", "r.csv"]) == 0
+        assert cli.main([*argv, "--out", "r.json"]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "r.csv").read_text()
+        assert text == (
+            "period,pattern,admissible,sign_symmetric,peak\n"
+            "2,-1 1,1,1,0.909090909091\n"
+            "6,-1 -1 -1 1 1 1,1,1,1.10889110889\n"
+            "18,-1 -1 -1 -1 -1 -1 -1 -1 -1 1 1 1 1 1 1 1 1 1,1,1,1.11111110889\n"
+        )
+        records = json.loads((tmp_path / "r.json").read_text())["records"]
+        expected = [
+            [
+                str(r["period"]),
+                " ".join(map(str, r["pattern"])),
+                str(int(r["flags"]["admissible"])),
+                str(int(r["flags"]["sign_symmetric"])),
+                f"{max(abs(x) for x in r['waveform']):.12g}",
+            ]
+            for r in records
+        ]
+        assert [row.split(",") for row in text.splitlines()[1:]] == expected
+
     def test_dead_zone_case(self, capsys):
         rc = cli.main(
             ["analyze", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "8"]
@@ -482,8 +509,15 @@ def test_a_verb_refuses_flags_it_does_not_read(argv, tmp_path, monkeypatch, caps
         ["sweep", "--geometric", "0.1", "--pmax"],
         # the dominance index of ratio 1 - 5e-7 is about ln 2 / 5e-7, past the walk's cap of 10^6
         ["analyze", "--geometric", "0.9999995", "--delay", "1"],
+        ["analyze", "--geometric", "0.5", "--delay", ","],
+        ["analyze", "--geometric", ",", "--delay", "2"],
+        ["check-plant", "--geometric", "0.5", "--dead-zone", ","],
+        ["analyze", "--geometric", "0.5", "--delay", "3:1"],
     ],
-    ids=["no-verb", "bad-int", "missing-value", "dominance-past-the-cap"],
+    ids=[
+        "no-verb", "bad-int", "missing-value", "dominance-past-the-cap",
+        "empty-delay", "empty-geometric", "empty-dead-zone", "empty-delay-range",
+    ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     with time_limit(10.0):
@@ -491,6 +525,26 @@ def test_usage_errors_exit_1(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "out, tagged",
+    [("../out.d/points", "../out.d/points_{}"), ("../pts", "../pts_{}"), (".hidden", ".hidden_{}")],
+    ids=["dotted-directory", "parent-directory", "hidden"],
+)
+def test_a_tag_goes_before_the_extension_of_the_base_name(out, tagged, tmp_path, monkeypatch, capsys):
+    # one file per dead zone of a sweep and per seed of a simulation; a dot in a directory is no extension
+    (tmp_path / "out.d").mkdir()
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    argv = ["--geometric", "0.5", "--pmax", "6", "--out", out]
+    assert cli.main(["sweep", *argv, "--delay", "1:2", "--dead-zone", "0,0.1"]) == 0
+    argv = ["--geometric", "0.5", "--delay", "2", "--steps", "200", "--out", out]
+    assert cli.main(["simulate", *argv, "--seed", "1,-1", "--seed", "1,1,-1,-1"]) == 0
+    capsys.readouterr()
+    written = {os.path.relpath(p, tmp_path / "run") for p in tmp_path.rglob("*") if p.is_file()}
+    sweep = {tagged.format(tag) + suffix for tag in ("dz0", "dz0p1") for suffix in ("", ".bounds.csv")}
+    assert written == sweep | {tagged.format("seed0"), tagged.format("seed1")}
 
 
 def test_help_still_exits_0(capsys):
