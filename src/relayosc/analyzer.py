@@ -260,15 +260,13 @@ def default_pmax(plant: PlantSpec) -> int:
     Nothing single-peaked exists beyond the bound, so the slack exists
     to detect bound violations as loud failures instead of silence.
     """
-    return _bounds_and_pmax(plant)[1]
+    return _ceiling(plant, period_bounds(plant) if plant.delay >= 1 else None)
 
 
-def _bounds_and_pmax(plant: PlantSpec) -> tuple[Optional[PeriodBounds], int]:
-    """(the period bounds, None without a delay; the default pmax derived from them)."""
-    if plant.delay < 1:
-        return None, 2 * (1 + dominance_index(plant.g0)) + DEFAULTS.pmax_slack
-    bounds = period_bounds(plant)
-    return bounds, bounds.upper + DEFAULTS.pmax_slack
+def _ceiling(plant: PlantSpec, bounds: Optional[PeriodBounds]) -> int:
+    """The default pmax from the plant's bounds; without a delay, from twice (1 + its dominance index)."""
+    upper = bounds.upper if bounds else 2 * (1 + dominance_index(plant.g0))
+    return upper + DEFAULTS.pmax_slack
 
 
 # -- pattern enumeration --------------------------------------------------
@@ -319,9 +317,7 @@ def _sweep_rows(periods) -> np.ndarray:
 
 
 def _record_from(u: np.ndarray, pattern: np.ndarray) -> OscillationRecord:
-    """The record of a fixed pattern and its waveform, both rolled to the canonical rotation."""
-    k = _canonical_roll(pattern)
-    u, pattern = np.roll(u, k), np.roll(pattern, k)
+    """The record of a fixed pattern in its canonical rotation and its waveform."""
     diff_var, pattern_unimodal, symmetric = _flags(u, pattern)
     return OscillationRecord(
         period=int(u.size),
@@ -340,13 +336,16 @@ def verify_fixed_point(plant: PlantSpec, pattern) -> Optional[OscillationRecord]
     Returns a record when the relay image of the loop response equals
     the pattern exactly (strict inequalities, no tolerance: an entry on
     the dead-zone boundary quantizes to 0 and fails a +-1 slot). Absence
-    is the None return, not an error.
+    is the None return, not an error. The pattern is judged in its
+    canonical rotation, so every rotation of a family gets one record,
+    waveform bits included.
     """
     s = np.asarray(pattern, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise ValueError("pattern must have at least two entries")
     if not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
         raise ValueError("pattern entries must lie in {-1, 0, +1}")
+    s = np.roll(s, _canonical_roll(s))
     K = loop_matrix(plant, s.size)
     u = _judge(K, s, plant.dead_zone, _rounding_bound(s.size, float(np.abs(K).sum(axis=1).max())))
     if u is None:
@@ -519,45 +518,45 @@ def period_records(plant: PlantSpec, period: int) -> list[OscillationRecord]:
     return _sweep([plant], [period], {plant.delay: period})[0]
 
 
-def _base_waveform(plant: PlantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(the half-and-half pattern s at period twice the delay, the exact sums u of its loop response)."""
+def _base_family(plant: PlantSpec) -> tuple[float, float]:
+    """(the dead-zone threshold, the scalar -u[delay]) of the half-and-half pattern s at period twice the delay.
+
+    u holds the exact sums of the loop response to s (:func:`_exact_sums`), which the judge reads:
+    s is fixed exactly at the dead zones below min_i s_i u_i, so the threshold is that or 0.0.
+    """
     if plant.delay < 1:
         raise ValueError("the base oscillation needs a positive delay")
     s = np.repeat([1.0, -1.0], plant.delay)
-    return s, _exact_sums(loop_matrix(plant, s.size), s)
+    u = _exact_sums(loop_matrix(plant, s.size), s)
+    return max(0.0, float((s * u).min())), -float(u[plant.delay])
 
 
 def exists_base_oscillation(plant: PlantSpec) -> bool:
-    """Existence of the oscillation with period exactly twice the delay.
+    """Existence of the oscillation with period exactly twice the delay: the dead zone under the threshold.
 
-    Decided by a single scalar: the loop response to the half-and-half
-    pattern at slot ``delay``, negated and compared against the dead
-    zone. The judge's verdict, the relay image of the same exact sums u,
-    must agree (u[i + delay] = -u[i] holds exactly); a mismatch would
-    falsify the scalar criterion and raises InternalCheckError.
+    The threshold is :func:`dead_zone_threshold`. The paper's scalar
+    criterion, the loop response at slot ``delay`` negated and compared
+    against the dead zone, must agree; a mismatch would falsify it and
+    raises InternalCheckError.
     """
-    s, u = _base_waveform(plant)
-    scalar = -float(u[plant.delay])
-    exists = scalar > plant.dead_zone
-    verified = np.array_equal(relay_vec(u, plant.dead_zone), s)
-    if exists != verified:
+    threshold, scalar = _base_family(plant)
+    exists = plant.dead_zone < threshold
+    if exists != (scalar > plant.dead_zone):
         raise InternalCheckError(
             f"scalar existence test ({scalar:.12g} vs dead zone {plant.dead_zone:.12g}) "
-            f"disagrees with direct verification at period {s.size}"
+            f"disagrees with the threshold {threshold:.12g} at period {2 * plant.delay}"
         )
     return exists
 
 
 def dead_zone_threshold(plant: PlantSpec) -> float:
-    """Largest dead zone below which the base-period family persists.
+    """The end of the dead-zone interval [0, threshold) on which the base-period family is fixed.
 
-    Equals the delay-th largest entry of minus the loop response to the
-    half-and-half pattern, which is also the smallest positive entry of
-    the base-period waveform. In exact sums, as the existence test reads
-    them: where the family exists at dead zone 0, it exists exactly below.
+    0.0 when the half-and-half pattern is fixed at no dead zone. Where it
+    is fixed at dead zone 0, this is the smallest positive entry of the
+    base-period waveform, in the exact sums the judge reads.
     """
-    _, u = _base_waveform(plant)
-    return float(np.sort(-u)[::-1][plant.delay - 1])
+    return _base_family(plant)[0]
 
 
 def check_absence(plant: PlantSpec) -> AbsenceVerdict:
@@ -727,10 +726,9 @@ def _reports(plants: list, pmax: Optional[int], oracle_pmax: int = 0) -> list[Os
     if pmax is not None and pmax < 2:
         raise ValueError("pmax must be at least 2")
     at = {plant.delay: plant for plant in plants}
-    windows = {delay: _bounds_and_pmax(p) if pmax is None else (None, pmax) for delay, p in at.items()}
-    tops = {delay: top for delay, (_, top) in windows.items()}
+    bounds = {delay: period_bounds(p) if delay >= 1 else None for delay, p in at.items()}
+    tops = {delay: _ceiling(at[delay], b) if pmax is None else pmax for delay, b in bounds.items()}
     found = _sweep(plants, range(2, max(tops.values()) + 1), tops)
-    bounds = {d: period_bounds(at[d]) if b is None and d >= 1 else b for d, (b, _) in windows.items()}
     absence = check_absence(at[0]) if 0 in at else None
     return [
         _report(plant, tops[plant.delay], bounds[plant.delay], absence if not plant.delay else None, recs, oracle_pmax)

@@ -327,9 +327,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, UnstablePlantError, TruncationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except analyzer.InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -165,9 +164,8 @@ class TestVerifyFixedPoint:
             assert rec.admissible and rec.sign_symmetric and rec.is_self_oscillation
 
     def test_rotations_all_verify(self):
-        # every rotation of a fixed pattern gives the record of its canonical rotation, the
-        # non-primitive (-1, 1, -1, 1) too; the waveform is K @ s of the rotation given, rolled, and
-        # K @ s sums each row in the rotation's own column order, so its last bits may differ
+        # every rotation of a fixed pattern gives the record of its canonical rotation, waveform
+        # bits included, the non-primitive (-1, 1, -1, 1) too: each is judged in that rotation
         plants = [
             geometric_plant(0.1, 9),
             geometric_plant(0.5, 3, 0.2),
@@ -182,12 +180,8 @@ class TestVerifyFixedPoint:
             for pattern in patterns:
                 ref = verify_fixed_point(plant, pattern)
                 assert ref.pattern == pattern
-                K = loop_matrix(plant, len(pattern))
-                tau = analyzer._rounding_bound(len(pattern), float(np.abs(K).sum(axis=1).max()))
                 for k in range(len(pattern)):
-                    rec = verify_fixed_point(plant, np.roll(pattern, k))
-                    assert dataclasses.replace(rec, waveform=ref.waveform) == ref
-                    assert np.max(np.abs(np.subtract(rec.waveform, ref.waveform))) <= 2 * tau
+                    assert verify_fixed_point(plant, np.roll(pattern, k)) == ref
 
     def test_zero_delay_never_fixes(self):
         plant = geometric_plant(0.1, 0)
@@ -284,6 +278,16 @@ class TestDeadZoneThreshold:
         # 4x4 product evaluated by hand: entries +-{0.019, 0.361}/0.3439
         th = dead_zone_threshold(geometric_plant(0.9, 2))
         assert th == pytest.approx(0.019 / 0.3439, rel=1e-9)
+
+    def test_no_base_family_reads_zero(self):
+        # the relay image of K s at geometric 0.931, delay 3, is s shifted by one slot, so the
+        # family is fixed at no dead zone: the threshold is 0.0, not -0.0
+        plant = geometric_plant(0.931, 3)
+        assert dead_zone_threshold(plant) == 0.0
+        assert np.copysign(1.0, dead_zone_threshold(plant)) == 1.0
+        assert not exists_base_oscillation(plant)
+        assert verify_fixed_point(plant, [1, 1, 1, -1, -1, -1]) is None
+        assert (-1, -1, -1, 1, 1, 1) not in {r.pattern for r in period_records(plant, 6)}
 
     def test_threshold_is_smallest_positive_waveform_entry(self):
         for ratio, delay in ((0.1, 3), (0.5, 2), (0.9, 2)):
@@ -834,13 +838,28 @@ def batch_size_example():
 class TestOneJudge:
     def test_the_threshold_probe_never_fails_the_cross_check(self):
         # the scalar and the verdict read one vector of exact sums, so they agree at the edge, and
-        # where the family exists at dead zone 0 it exists exactly below the threshold
+        # the family exists exactly below the threshold, which is 0.0 where it never exists
         for base, threshold in threshold_probe():
-            exists_at_zero = exists_base_oscillation(base)
+            assert exists_base_oscillation(base) == (threshold > 0)
             for dz in edge_zones(threshold):
                 exists = exists_base_oscillation(PlantSpec(base.g0, base.delay, dz))
-                if exists_at_zero:
-                    assert exists == (dz < threshold), (base.g0.ratio, base.delay, dz)
+                assert exists == (dz < threshold), (base.g0.ratio, base.delay, dz)
+
+    def test_the_threshold_is_the_end_of_the_base_familys_interval(self):
+        # geometric plants and their rational twins: the existence test, the threshold and the
+        # analyzer's records agree at dead zone 0 (so a positive threshold means the family is fixed
+        # there), at the threshold and one ulp to each side of it
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            ratio, delay = float(rng.uniform(0.05, 0.97)), int(rng.integers(1, 9))
+            family = (-1,) * delay + (1,) * delay
+            for twin in twin_plants(ratio, delay):
+                threshold = dead_zone_threshold(twin)
+                for dz in [0.0] + edge_zones(threshold):
+                    plant = PlantSpec(twin.g0, twin.delay, dz)
+                    exists = exists_base_oscillation(plant)
+                    assert exists == (dz < threshold), (twin.g0.kind, ratio, delay, dz)
+                    assert exists == (family in {r.pattern for r in period_records(plant, 2 * delay)})
 
     def test_the_oracle_equals_verification_on_the_base_family_at_the_edge(self):
         checked = 0

@@ -592,6 +592,43 @@ def test_analyze_computes_the_bounds_once(flags, pmax, oracle_pmax, tmp_path, mo
     assert len(calls) == 1
 
 
+def test_analyze_exits_2_on_a_family_the_enumeration_misses(monkeypatch, capsys):
+    # the oracle finds a fixed single-peaked family that the sweep never enumerated: a violation
+    missed = (-1, -1, 0, 1, 1, 0)
+    full = analyzer._sweep_rows  # the row (2, 1, 2, 1) is the family missed
+    monkeypatch.setattr(
+        analyzer, "_sweep_rows", lambda ps: full(ps)[~np.all(full(ps)[:, 1:] == (2, 1, 2, 1), axis=1)]
+    )
+    rc = cli.main(["analyze", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "8"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert f"  VIOLATION: oracle found an unmatched single-peaked fixed pattern {missed} at period 6\n" in out
+
+
+def test_the_report_states_every_other_violation():
+    # hand-built records against hand-built bounds: the necessity, bound, excluded-window and
+    # oracle lines, record by record in period order, then the oracle's
+    def record(pattern, admissible, symmetric):
+        return analyzer.OscillationRecord(
+            len(pattern), pattern, (0.0,) * len(pattern), admissible, admissible, symmetric, admissible
+        )
+
+    records = [record((-1,) * 5 + (1,) * 5, True, True), record((-1, -1, 1, 1), True, False)]
+    records.append(record((-1, 1), True, True))  # matched by the oracle: no line
+    bounds = analyzer.PeriodBounds(delay=3, dominance_index=1, lower=6, upper=8, upper_convex=7)
+    plant = PlantSpec(ImpulseResponse.geometric(0.1), 3)
+    report = analyzer._report(plant, 10, bounds, None, records, oracle_pmax=4)
+    assert report.violations == [
+        "admissible record at period 4 is not sign-symmetric (pattern (-1, -1, 1, 1))",
+        "zero-free record at period 4 violates period = 2 * positive count",
+        "record period 4 under the lower bound 6 (delay 3)",
+        "record period 4 falls in the excluded window (3, 6)",
+        "record period 10 over the upper bound 8",
+        "record period 10 over the convex bound 7",
+        "analyzer record (-1, -1, 1, 1) at period 4 is missing from the oracle",
+    ]
+
+
 class TestOracleVerb:
     def test_two_by_two(self, capsys):
         rc = cli.main(["oracle", "--geometric", "0.1", "--delay", "1", "--pmax", "3"])
