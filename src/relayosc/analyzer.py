@@ -34,7 +34,7 @@ from .lti import (
     loop_matrix,
     periodic_summation,
 )
-from .variation import _flags, max_cyclic_sign_changes, relay_vec
+from .variation import _flags, _resolved_changes, relay_vec
 
 __all__ = [
     "InternalCheckError",
@@ -534,14 +534,15 @@ def _base_family(plant: PlantSpec) -> tuple[float, float]:
 def exists_base_oscillation(plant: PlantSpec) -> bool:
     """Existence of the oscillation with period exactly twice the delay: the dead zone under the threshold.
 
-    The threshold is :func:`dead_zone_threshold`. The paper's scalar
-    criterion, the loop response at slot ``delay`` negated and compared
-    against the dead zone, must agree; a mismatch would falsify it and
-    raises InternalCheckError.
+    The threshold is :func:`dead_zone_threshold`. For a decaying plant
+    (:func:`check_monotone_decay`) the paper's scalar criterion, the loop
+    response at slot ``delay`` negated against the dead zone, must agree:
+    a mismatch would falsify it and raises InternalCheckError. Elsewhere
+    the criterion is no theorem and the threshold decides alone.
     """
     threshold, scalar = _base_family(plant)
     exists = plant.dead_zone < threshold
-    if exists != (scalar > plant.dead_zone):
+    if exists != (scalar > plant.dead_zone) and check_monotone_decay(plant.g0).passed:
         raise InternalCheckError(
             f"scalar existence test ({scalar:.12g} vs dead zone {plant.dead_zone:.12g}) "
             f"disagrees with the threshold {threshold:.12g} at period {2 * plant.delay}"
@@ -669,7 +670,7 @@ def oracle_families(plant: PlantSpec, period: int, matched) -> list[OracleEntry]
     """
     fixed = brute_force_fixed_points(plant, period, cap=period)
     return [
-        OracleEntry(period, canon, max_cyclic_sign_changes(np.asarray(canon, float)) == 2, canon in matched)
+        OracleEntry(period, canon, _resolved_changes(canon, True) == 2, canon in matched)
         for canon in sorted({canonical_rotation(p) for p in fixed})
     ]
 

@@ -297,6 +297,17 @@ _VERBS = {
 }
 
 
+def _attach_signed_values(argv: list) -> list:
+    """``--flag -1,1`` as ``--flag=-1,1``: argparse takes a value like ``-1,1``, a minus and a digit but no number, for an option."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is invalid input: exit 1 through main, not argparse's exit 2
         raise ValueError(message)
@@ -320,7 +331,7 @@ def main(argv=None) -> int:
         for flag in flags:
             verb.add_argument("--" + flag, **_FLAGS[flag])
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
         if getattr(args, "pmax", None) is not None and args.pmax < 2:  # as find_oscillations refuses it
             raise ValueError("pmax must be at least 2")
         return _VERBS[args.command][0](args)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .analyzer import _canonical_roll
 from .config import DEFAULTS
-from .lti import GEOMETRIC, SAMPLES, PlantSpec, loop_gain
+from .lti import GEOMETRIC, SAMPLES, PlantSpec, loop_matrix
 from .variation import _flags, relay_vec
 
 __all__ = [
@@ -224,24 +224,29 @@ def detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol) -> Optiona
 
     A candidate period P is accepted when the relay sequence repeats
     exactly over the trailing ``_WINDOW * P`` samples (relay outputs are
-    discrete, so no tolerance there) and the waveform repeats within
+    discrete, so no tolerance there; their bytes are compared, so they
+    must be of a numeric dtype) and then the waveform repeats within
     ``tol``. Returns (period, phase), the phase the smallest k for which
     ``np.roll`` of the trailing period of the relay sequence by k is its
     canonical rotation; None when nothing repeats inside the window.
     """
-    r = traj.relay_out
     u = traj.u
     total = u.size
-    for period in range(1, total // _WINDOW + 1):
-        span = _WINDOW * period
-        rs = r[total - span :]
-        us = u[total - span :]
-        if not np.array_equal(rs[period:], rs[:-period]):
+    most = total // _WINDOW
+    # the trailing window's relay bytes; + 0 turns -0.0 into 0.0, so they differ where values do, NaN aside
+    rs = traj.relay_out[total - _WINDOW * most :] + 0
+    key, size, end = rs.tobytes(), rs.itemsize, rs.size
+    for period in range(1, most + 1):
+        lo = _WINDOW * (most - period)
+        if key[(lo + period) * size :] != key[lo * size : (end - period) * size]:
             continue
+        if rs.dtype.kind in "fc" and not np.array_equal(rs[lo + period :], rs[lo:-period]):  # NaN != NaN
+            continue
+        us = u[total - _WINDOW * period :]
         gap = np.max(np.abs(us[period:] - us[:-period]))
         if not gap <= tol:  # a NaN gap fails too
             continue
-        return period, _canonical_roll(r[total - period :])
+        return period, _canonical_roll(traj.relay_out[total - period :].tolist())
     return None
 
 
@@ -271,11 +276,12 @@ def classify(u_period, plant: PlantSpec, tol: float = DEFAULTS.detect_tol) -> Cl
     """
     u = np.asarray(u_period, dtype=float)
     pattern = relay_vec(u, plant.dead_zone)
-    response = loop_gain(plant, pattern)
-    residual = float(np.max(np.abs(response - u)))
     diff_var, pattern_unimodal, symmetric = _flags(u, pattern)
+    # loop_gain's product, without its check of a pattern relay_vec made
+    response = loop_matrix(plant, u.size) @ pattern.astype(float)
+    residual = float(np.max(np.abs(response - u)))
     return ClassificationFlags(
-        pattern=tuple(int(x) for x in pattern),
+        pattern=tuple(pattern.tolist()),
         residual=residual,
         is_self_oscillation=residual <= tol and diff_var >= 2,
         unimodal=diff_var == 2,

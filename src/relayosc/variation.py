@@ -48,6 +48,35 @@ def cyclic_diff(v) -> np.ndarray:
     return np.roll(x, -1) - x
 
 
+def _changes(xs: list, cyclic: bool) -> int:
+    """Sign changes of a list over its nonzero entries, around the cycle or along the line; -1 when there are none."""
+    s = [x > 0 for x in xs if x != 0]
+    return sum(a != b for a, b in zip(s, (s[-1:] if cyclic else s[:1]) + s[:-1])) if s else -1
+
+
+def _resolved_changes(xs: list, cyclic: bool) -> int:
+    """Sign changes of a list, around the cycle or along the line, with each zero resolved to maximize them.
+
+    The j - i steps from one nonzero entry to the next can all change sign when j - i is odd
+    exactly if the two differ in sign, and all but one otherwise (checked against exhaustive
+    assignment in the test suite); on a line each leading and trailing zero adds one.
+    """
+    n = len(xs)
+    nz = [i for i, x in enumerate(xs) if x != 0]
+    if not nz:  # every entry free
+        return n - n % 2 if cyclic else n - 1
+    total = 0 if cyclic else nz[0] + n - 1 - nz[-1]
+    for i, j in zip(nz, nz[1:] + [nz[0] + n] if cyclic else nz[1:]):
+        steps = j - i
+        total += steps if steps % 2 == ((xs[i] > 0) != (xs[j % n] > 0)) else steps - 1
+    return total
+
+
+def _pos_neg(xs: list) -> tuple[int, int]:
+    """Counts of the positive and of the negative entries of a list."""
+    return sum(x > 0 for x in xs), sum(x < 0 for x in xs)
+
+
 def sign_changes(v) -> int:
     """Number of strict sign alternations after deleting zero entries.
 
@@ -55,33 +84,7 @@ def sign_changes(v) -> int:
     the count subadditive under concatenation). A constant nonzero
     vector has no alternations, so the result is 0.
     """
-    x = _as_vector(v)
-    s = np.sign(x[x != 0.0])
-    if s.size == 0:
-        return -1
-    return int(np.count_nonzero(s[1:] != s[:-1]))
-
-
-def _fill_zeros_alternating(s: np.ndarray) -> np.ndarray:
-    """Replace zeros in a sign vector so the alternation count is maximal.
-
-    Greedy rule: walk left to right and give each zero the sign opposite
-    to the last committed sign; leading zeros are filled backwards from
-    the first nonzero entry. Optimality per gap follows from a parity
-    argument and is cross-checked against exhaustive assignment in the
-    test suite.
-    """
-    out = s.copy()
-    nz = np.flatnonzero(out)
-    first = nz[0]
-    for i in range(first - 1, -1, -1):
-        out[i] = -out[i + 1]
-    prev = out[first]
-    for i in range(first + 1, out.size):
-        if out[i] == 0:
-            out[i] = -prev
-        prev = out[i]
-    return out
+    return _changes(_as_vector(v).tolist(), False)
 
 
 def max_sign_changes(v) -> int:
@@ -92,11 +95,7 @@ def max_sign_changes(v) -> int:
     the all-zero vector of length n every entry is free, giving n - 1.
     Always >= sign_changes(v).
     """
-    x = _as_vector(v)
-    s = np.sign(x).astype(np.int8)
-    if not s.any():
-        return x.size - 1
-    return sign_changes(_fill_zeros_alternating(s))
+    return _resolved_changes(_as_vector(v).tolist(), False)
 
 
 def cyclic_sign_changes(v) -> int:
@@ -112,12 +111,7 @@ def cyclic_sign_changes(v) -> int:
     suite checks the equivalence against the rotation form). Even for
     every nonzero vector; -1 for the zero vector.
     """
-    x = _as_vector(v)
-    s = np.sign(x)
-    nz = s[s != 0.0]
-    if nz.size == 0:
-        return -1
-    return int(np.count_nonzero(nz != np.roll(nz, 1)))
+    return _changes(_as_vector(v).tolist(), True)
 
 
 def max_cyclic_sign_changes(v) -> int:
@@ -131,22 +125,7 @@ def max_cyclic_sign_changes(v) -> int:
     the unimodal relay patterns in :mod:`relayosc.analyzer`, all of
     which have value exactly 2 here.
     """
-    x = _as_vector(v)
-    s = np.sign(x).astype(np.int8)
-    n = x.size
-    if not s.any():
-        # free alternation around a cycle of length n
-        return n if n % 2 == 0 else n - 1
-    nz = [int(i) for i in np.flatnonzero(s)]
-    total = 0
-    m = len(nz)
-    for i in range(m):
-        a = s[nz[i]]
-        b = s[nz[(i + 1) % m]]
-        gap = (nz[(i + 1) % m] - nz[i] - 1) % n
-        want_odd = 1 if a != b else 0
-        total += gap + 1 if (gap + 1) % 2 == want_odd else gap
-    return int(total)
+    return _resolved_changes(_as_vector(v).tolist(), True)
 
 
 def relay(x: float, dead_zone: float) -> int:
@@ -179,10 +158,9 @@ def relay_vec(v, dead_zone: float) -> np.ndarray:
 
 def sign_counts(v) -> tuple[int, int, int]:
     """Counts of (positive, negative, zero) entries; they sum to len(v)."""
-    x = _as_vector(v)
-    pos = int(np.count_nonzero(x > 0))
-    neg = int(np.count_nonzero(x < 0))
-    return pos, neg, x.size - pos - neg
+    xs = _as_vector(v).tolist()
+    pos, neg = _pos_neg(xs)
+    return pos, neg, len(xs) - pos - neg
 
 
 def is_sign_symmetric(v) -> bool:
@@ -191,9 +169,13 @@ def is_sign_symmetric(v) -> bool:
     return pos == neg
 
 
-def _flags(u, pattern) -> tuple[int, bool, bool]:
-    """(cyclic variation of u's cyclic difference, -1 for zero u; relay pattern single-peaked; sign-symmetric)."""
-    return cyclic_sign_changes(cyclic_diff(u)), max_cyclic_sign_changes(pattern) == 2, is_sign_symmetric(pattern)
+def _flags(u: np.ndarray, pattern: np.ndarray) -> tuple[int, bool, bool]:
+    """(u's cyclic-difference variation, -1 for constant u; pattern single-peaked; sign-symmetric), on plain values."""
+    if u.ndim != 1:
+        raise ValueError(f"expected a nonempty 1-D vector, got shape {u.shape}")
+    x, p = u.tolist(), pattern.tolist()
+    pos, neg = _pos_neg(p)
+    return _changes([b - a for a, b in zip(x, x[1:] + x[:1])], True), _resolved_changes(p, True) == 2, pos == neg
 
 
 def is_periodically_unimodal(v) -> bool:

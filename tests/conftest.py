@@ -24,6 +24,7 @@ from relayosc.analyzer import (
     OscillationRecord,
     OscillationReport,
     PeriodBounds,
+    _canonical_roll,
     _record_from,
     enumerate_unimodal_patterns,
 )
@@ -37,9 +38,10 @@ from relayosc.lti import (
     _Mode,
     _mode_fold,
     circulant,
+    loop_gain,
     loop_matrix,
 )
-from relayosc.simulate import SimulationError, Trajectory, _check_seed, _num_den_taps
+from relayosc.simulate import _WINDOW, ClassificationFlags, SimulationError, Trajectory, _check_seed, _num_den_taps
 from relayosc.variation import cyclic_diff, cyclic_sign_changes, relay, relay_vec, sign_changes
 
 
@@ -559,6 +561,109 @@ def reference_simulate(plant: PlantSpec, seed_history, steps: int) -> Trajectory
             )
 
     return Trajectory(u=u, relay_out=r_all[lead:].copy(), seed_history=tuple(seed), plant=plant)
+
+
+def reference_sign_changes(v) -> int:
+    """The numpy sign-change count along the vector: -1 for the zero vector."""
+    x = np.asarray(v, dtype=float)
+    s = np.sign(x[x != 0.0])
+    if s.size == 0:
+        return -1
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def reference_max_sign_changes(v) -> int:
+    """The numpy zero-resolved count: each zero greedily takes the sign opposite to its left neighbour's."""
+    s = np.sign(np.asarray(v, dtype=float)).astype(np.int8)
+    if not s.any():
+        return s.size - 1
+    nz = np.flatnonzero(s)
+    first = nz[0]
+    for i in range(first - 1, -1, -1):  # leading zeros, filled backwards from the first nonzero entry
+        s[i] = -s[i + 1]
+    prev = s[first]
+    for i in range(first + 1, s.size):
+        if s[i] == 0:
+            s[i] = -prev
+        prev = s[i]
+    return reference_sign_changes(s)
+
+
+def reference_cyclic_sign_changes(v) -> int:
+    """The numpy cyclic sign-change count: -1 for the zero vector."""
+    s = np.sign(np.asarray(v, dtype=float))
+    nz = s[s != 0.0]
+    if nz.size == 0:
+        return -1
+    return int(np.count_nonzero(nz != np.roll(nz, 1)))
+
+
+def reference_max_cyclic_sign_changes(v) -> int:
+    """The numpy zero-resolved cyclic sign-change count, gap by gap between nonzero entries."""
+    x = np.asarray(v, dtype=float)
+    s = np.sign(x).astype(np.int8)
+    n = x.size
+    if not s.any():
+        return n if n % 2 == 0 else n - 1
+    nz = [int(i) for i in np.flatnonzero(s)]
+    total = 0
+    m = len(nz)
+    for i in range(m):
+        a = s[nz[i]]
+        b = s[nz[(i + 1) % m]]
+        gap = (nz[(i + 1) % m] - nz[i] - 1) % n
+        want_odd = 1 if a != b else 0
+        total += gap + 1 if (gap + 1) % 2 == want_odd else gap
+    return int(total)
+
+
+def reference_flags(u, pattern) -> tuple[int, bool, bool]:
+    """The numpy flags: u's cyclic-difference variation, the pattern single-peaked, sign-symmetric.
+
+    ``variation._flags`` must return these on every finite waveform and relay pattern.
+    """
+    x = np.asarray(u, dtype=float)
+    p = np.asarray(pattern, dtype=float)
+    return (
+        reference_cyclic_sign_changes(np.roll(x, -1) - x),
+        reference_max_cyclic_sign_changes(p) == 2,
+        int(np.count_nonzero(p > 0)) == int(np.count_nonzero(p < 0)),
+    )
+
+
+def reference_detect_period(traj: Trajectory, tol: float = DEFAULTS.detect_tol) -> Optional[tuple[int, int]]:
+    """The numpy period search: one ``np.array_equal`` of the relay window per candidate period."""
+    r = traj.relay_out
+    u = traj.u
+    total = u.size
+    for period in range(1, total // _WINDOW + 1):
+        span = _WINDOW * period
+        rs = r[total - span :]
+        us = u[total - span :]
+        if not np.array_equal(rs[period:], rs[:-period]):
+            continue
+        gap = np.max(np.abs(us[period:] - us[:-period]))
+        if not gap <= tol:
+            continue
+        return period, _canonical_roll(r[total - period :])
+    return None
+
+
+def reference_classify(u_period, plant: PlantSpec, tol: float = DEFAULTS.detect_tol) -> ClassificationFlags:
+    """The classification through ``loop_gain`` and the numpy flags."""
+    u = np.asarray(u_period, dtype=float)
+    pattern = relay_vec(u, plant.dead_zone)
+    response = loop_gain(plant, pattern)
+    residual = float(np.max(np.abs(response - u)))
+    diff_var, pattern_unimodal, symmetric = reference_flags(u, pattern)
+    return ClassificationFlags(
+        pattern=tuple(int(x) for x in pattern),
+        residual=residual,
+        is_self_oscillation=residual <= tol and diff_var >= 2,
+        unimodal=diff_var == 2,
+        pattern_unimodal=pattern_unimodal,
+        sign_symmetric=symmetric,
+    )
 
 
 def reference_rational_head(num, den, n: int) -> np.ndarray:

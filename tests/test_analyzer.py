@@ -244,6 +244,22 @@ class TestBaseOscillation:
         assert exists_base_oscillation(plant)
         assert verify_fixed_point(plant, [1, 1, -1, -1]) is not None
 
+    def test_outside_the_decaying_class_the_threshold_decides(self):
+        # the scalar criterion is a theorem only for decaying plants: elsewhere it may disagree,
+        # and the judge's verdict is returned, which the analyzer's records at twice the delay repeat
+        rng = np.random.default_rng(3)
+        disagreements = 0
+        for _ in range(300):
+            taps = rng.uniform(-1.0, 1.5, int(rng.integers(1, 8)))
+            taps[0] = abs(taps[0]) + 0.01
+            delay = int(rng.integers(1, 7))
+            plant = PlantSpec(ImpulseResponse.from_samples(taps), delay, 0.0)
+            family = (-1,) * delay + (1,) * delay
+            exists = exists_base_oscillation(plant)
+            assert exists == (family in {r.pattern for r in period_records(plant, 2 * delay)})
+            disagreements += exists != (analyzer._base_family(plant)[1] > 0.0)
+        assert disagreements > 20
+
 
 class TestDeadZoneThreshold:
     def test_example_value(self):

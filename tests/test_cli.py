@@ -334,6 +334,28 @@ class TestSimulateVerb:
         periods = [int(line.split(",")[1]) for line in lines[1:]]
         assert periods == [18, 6, 2]
 
+    def test_readme_example_verbatim(self, capsys):
+        # the residual column too: the loop product and its bits, not only the periods
+        seeds = [["1"] * 9 + ["-1"] * 9, ["1", "1", "1", "-1", "-1", "-1"] * 3, ["1", "-1"] * 9]
+        argv = ["simulate", "--geometric", "0.1", "--delay", "9", "--steps", "200"]
+        assert cli.main(argv + [arg for seed in seeds for arg in ("--seed", ",".join(seed))]) == 0
+        assert capsys.readouterr().out == (
+            "seed,period,phase,admissible,self_oscillation,residual,error\n"
+            "0,18,11,1,1,2.22044604925e-16,\n"
+            "1,6,5,1,1,1.11022302463e-16,\n"
+            "2,2,1,1,1,1.11022302463e-16,\n"
+        )
+
+    @pytest.mark.parametrize("seed", ["-1,1", "-1,-1,1,1", "-1", "-0,1"])
+    def test_a_seed_may_start_with_minus_one(self, seed, capsys):
+        # argparse would read a value that starts with '-' and is no plain number as an option
+        argv = ["simulate", "--geometric", "0.5", "--delay", "2", "--steps", "60"]
+        assert cli.main(argv + [f"--seed={seed}"]) == 0
+        joined = capsys.readouterr()
+        assert cli.main(argv + ["--seed", seed]) == 0
+        assert capsys.readouterr() == joined
+        assert joined.out.count("\n") == 2 and joined.err == ""
+
     def test_seed_file_and_dump(self, tmp_path, capsys):
         seeds = tmp_path / "seeds.json"
         seeds.write_text(json.dumps({"seeds": [[1, -1], [1, 1, -1, -1]]}))

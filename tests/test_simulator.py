@@ -6,14 +6,22 @@ from hypothesis import strategies as st
 from relayosc.analyzer import canonical_rotation, find_oscillations, verify_fixed_point
 from relayosc.lti import ImpulseResponse, PlantSpec
 from relayosc.simulate import (
+    ClassificationFlags,
     SimulationError,
     Trajectory,
     classify,
     detect_period,
     simulate,
 )
+from relayosc.variation import relay_vec
 
-from conftest import reference_simulate, simulate_by_convolution, time_limit
+from conftest import (
+    reference_classify,
+    reference_detect_period,
+    reference_simulate,
+    simulate_by_convolution,
+    time_limit,
+)
 
 EXAMPLE_SEEDS = {
     18: [1] * 9 + [-1] * 9,
@@ -224,6 +232,77 @@ class TestCycleDetection:
             short = reference_simulate(plant, seed, 400 + (steps - 400) % period)
             assert long.u[-200:].tobytes() == short.u[-200:].tobytes()
             assert long.relay_out[-200:].tobytes() == short.relay_out[-200:].tobytes()
+
+
+@st.composite
+def hand_built_trajectories(draw):
+    """A transient then a repeated block, perhaps with one entry changed; relay values int8, int64 or float (zeros of both signs)."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.3, 0.9, -0.9]), st.floats(-2.0, 2.0))
+    block = draw(st.lists(entry, min_size=1, max_size=8))
+    u = np.array(draw(st.lists(entry, max_size=10)) + block * draw(st.integers(1, 12)))
+    dead_zone = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    if draw(st.booleans()):
+        r = relay_vec(u, dead_zone)
+    else:
+        r = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=u.size, max_size=u.size)))
+    dtype = draw(st.sampled_from([np.int8, np.int64, float]))
+    r = r.astype(dtype)
+    if dtype is float:
+        r[(r == 0) & np.array(draw(st.lists(st.booleans(), min_size=u.size, max_size=u.size)))] = -0.0
+    at = draw(st.integers(0, u.size - 1))
+    change = draw(st.sampled_from(["none", "waveform", "relay"]))
+    if change == "waveform":  # break the repetition by a little or by a lot
+        u[at] += draw(st.sampled_from([1e-13, 1e-6, 1.0, float("nan")]))
+    elif change == "relay" and dtype is float and draw(st.booleans()):
+        r[r == r[at]] = float("nan")  # every entry of one value, so NaN repeats with the block
+    elif change == "relay":
+        r[at] = -1 if r[at] == 1 else 1
+    plant = PlantSpec(draw(loop_responses()), draw(st.integers(0, 6)), dead_zone)
+    return Trajectory(u=u, relay_out=r, seed_history=(), plant=plant)
+
+
+def outcome(run, *args):
+    """What a call returns, or the type and message of its ValueError (the phase of a NaN relay value)."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def classified(u, plant, run):
+    """The flags of one period and the bits of their residual, or the error."""
+    flags = outcome(run, u, plant)
+    return flags, float.hex(flags.residual) if isinstance(flags, ClassificationFlags) else None
+
+
+class TestPostProcessing:
+    """``detect_period`` and ``classify`` return what the numpy versions in ``conftest`` return."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(loop_runs())
+    def test_simulated_runs(self, run):
+        plant, seed, steps = run
+        try:
+            traj = simulate(plant, seed, steps)
+        except SimulationError:
+            return
+        hit = detect_period(traj)
+        assert hit == reference_detect_period(traj)
+        u = traj.u[-hit[0] :] if hit else traj.u[-min(steps, 12) :]
+        assert classified(u, plant, classify) == classified(u, plant, reference_classify)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(hand_built_trajectories())
+    def test_hand_built_trajectories(self, traj):
+        assert outcome(detect_period, traj) == outcome(reference_detect_period, traj)
+        for u in (traj.u[-4:], traj.u):
+            assert classified(u, traj.plant, classify) == classified(u, traj.plant, reference_classify)
+
+    def test_a_matrix_is_refused(self):
+        with pytest.raises(ValueError):
+            classify(np.ones((2, 2)), fast_plant())
+        with pytest.raises(ValueError):
+            classify([], fast_plant())
 
 
 class TestDetectPeriod:

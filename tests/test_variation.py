@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayosc.variation import (
+    _flags,
     cyclic_diff,
     cyclic_sign_changes,
     is_periodically_unimodal,
@@ -19,6 +22,11 @@ from conftest import (
     brute_max_sign_changes,
     is_periodically_unimodal_direct,
     is_periodically_unimodal_levelsets,
+    reference_cyclic_sign_changes,
+    reference_flags,
+    reference_max_cyclic_sign_changes,
+    reference_max_sign_changes,
+    reference_sign_changes,
     wrapped_rotation_count,
 )
 
@@ -112,6 +120,43 @@ class TestCyclicCounts:
     def test_all_zero_resolved(self):
         assert max_cyclic_sign_changes([0.0, 0, 0, 0]) == 4
         assert max_cyclic_sign_changes([0.0, 0, 0]) == 2
+
+
+@st.composite
+def waveforms(draw):
+    """A finite vector of 1-24 entries: zeros of both signs, and constant or repeating runs, often."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1e3, 1e3))
+    shape = draw(st.sampled_from(["free", "constant", "repeating"]))
+    if shape == "constant":
+        return np.full(draw(st.integers(1, 24)), draw(entry))
+    if shape == "repeating":
+        block = draw(st.lists(entry, min_size=1, max_size=6))
+        return np.array(block * draw(st.integers(1, 24 // len(block))))
+    return np.array(draw(st.lists(entry, min_size=1, max_size=24)))
+
+
+class TestFlags:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(waveforms(), st.one_of(st.just(0.0), st.floats(0.0, 2.0)), st.booleans(), st.data())
+    def test_equal_to_the_numpy_counts(self, u, dead_zone, own_pattern, data):
+        # the waveform's relay image (zeros where the dead zone is wide), or a free pattern with or without zeros
+        if own_pattern:
+            pattern = relay_vec(u, dead_zone)
+        else:
+            values = data.draw(st.sampled_from([[-1, 1], [-1, 0, 1]]))
+            pattern = np.array(data.draw(st.lists(st.sampled_from(values), min_size=u.size, max_size=u.size)), np.int8)
+        assert _flags(u, pattern) == reference_flags(u, pattern)
+        for v in (u, pattern):
+            assert sign_changes(v) == reference_sign_changes(v)
+            assert max_sign_changes(v) == reference_max_sign_changes(v)
+            assert cyclic_sign_changes(v) == reference_cyclic_sign_changes(v)
+            assert max_cyclic_sign_changes(v) == reference_max_cyclic_sign_changes(v)
+            assert is_sign_symmetric(v) == (np.count_nonzero(v > 0) == np.count_nonzero(v < 0))
+            assert sign_counts(v)[:2] == (np.count_nonzero(v > 0), np.count_nonzero(v < 0))
+
+    def test_a_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            _flags(np.zeros((2, 2)), np.zeros((2, 2), np.int8))
 
 
 class TestRelay:
