@@ -13,6 +13,7 @@ All numeric output is printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -313,7 +314,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)  # built at the first main call, not at import, then reused: parsing keeps no state in it
+def _parser() -> _Parser:
     parser = _Parser(
         prog="relayosc",
         description="Self-oscillation analysis for discrete-time relay feedback loops",
@@ -330,8 +332,12 @@ def main(argv=None) -> int:
         verb = sub.add_parser(name, parents=[source])
         for flag in flags:
             verb.add_argument("--" + flag, **_FLAGS[flag])
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
         if getattr(args, "pmax", None) is not None and args.pmax < 2:  # as find_oscillations refuses it
             raise ValueError("pmax must be at least 2")
         return _VERBS[args.command][0](args)

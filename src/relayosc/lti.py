@@ -444,8 +444,8 @@ class ImpulseResponse:
         if self.kind == GEOMETRIC:
             return {"kind": GEOMETRIC, "ratio": self.ratio, "gain": self.gain}
         if self.kind == RATIONAL:
-            return {"kind": RATIONAL, "num": list(self.num), "den": list(self.den)}
-        return {"kind": SAMPLES, "values": list(self.values)}
+            return {"kind": RATIONAL, "num": self.num.tolist(), "den": self.den.tolist()}
+        return {"kind": SAMPLES, "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImpulseResponse":
@@ -464,7 +464,7 @@ class ImpulseResponse:
         if self.kind == GEOMETRIC:
             return f"ImpulseResponse.geometric(ratio={self.ratio}, gain={self.gain})"
         if self.kind == RATIONAL:
-            return f"ImpulseResponse.from_rational(num={list(self.num)}, den={list(self.den)})"
+            return f"ImpulseResponse.from_rational(num={self.num.tolist()}, den={self.den.tolist()})"
         return f"ImpulseResponse.from_samples(<{self.values.size} samples>)"
 
 

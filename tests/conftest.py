@@ -19,6 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from relayosc.analyzer import (
+    _DOMINANCE_CAP,
     AbsenceVerdict,
     OracleEntry,
     OscillationRecord,
@@ -664,6 +665,31 @@ def reference_classify(u_period, plant: PlantSpec, tol: float = DEFAULTS.detect_
         pattern_unimodal=pattern_unimodal,
         sign_symmetric=symmetric,
     )
+
+
+def reference_dominance_index(g0: ImpulseResponse) -> int:
+    """The dominance walk in blocks of 4, 8, 16, ... terms: the library's walk with other block lengths.
+
+    Each t's gap depends on the samples before t, added one after the
+    other, and on t's own tail bound, so ``dominance_index`` must return
+    this index, or raise this error, whatever block lengths it takes.
+    """
+    acc, mass, start, block = 0.0, 0.0, 1, 4
+    while start <= _DOMINANCE_CAP:
+        stop = min(start + block, _DOMINANCE_CAP + 1)
+        t = np.arange(start, stop)
+        head = g0.samples(stop - 1)[start - 1 :]
+        sums = np.cumsum(np.concatenate(([acc], head)))[1:]
+        masses = np.cumsum(np.concatenate(([mass], np.abs(head))))[1:]
+        tails = g0.tail_bounds(t)
+        won = sums - tails > (t + 2) * 2.0**-53 * masses
+        ends = np.flatnonzero(won | (tails == 0.0))
+        if ends.size:
+            if won[ends[0]]:
+                return int(t[ends[0]])
+            raise TruncationError("partial sum never outweighs the tail: the tail bound is exhausted")
+        acc, mass, start, block = sums[-1], masses[-1], stop, 2 * block
+    raise TruncationError("partial-sum dominance undecidable within the horizon")
 
 
 def reference_rational_head(num, den, n: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from conftest import (
     exact_geometric_fixed_point,
     fraction_sums,
     reference_brute_force_fixed_points,
+    reference_dominance_index,
     reference_period_records,
     reference_unimodal_patterns,
     report_from_dict,
@@ -76,6 +77,32 @@ class TestDominanceIndex:
             got = dominance_index(ImpulseResponse.geometric(ratio))
             assert got == direct_dominance_index(ratio)
 
+
+    def test_the_block_lengths_change_no_index_and_no_failure(self):
+        # 600 responses (rng(5)): geometric and two-pole rational with indices up to about 1300, and
+        # sorted finite responses, 30 of them with a tail bound exhausted before the head wins
+        def outcome(walk, make):
+            try:
+                return walk(make())
+            except TruncationError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(5)
+        outcomes = []
+        for k in range(600):
+            if k % 3 == 0:
+                ratio, gain = 1 - 10 ** -rng.uniform(0.05, 3.3), rng.uniform(0.1, 3)
+                make = lambda: ImpulseResponse.geometric(ratio, gain)
+            elif k % 3 == 1:
+                a, b, w = 1 - 10 ** -rng.uniform(0.3, 3.3), rng.uniform(-0.9, 0.9), rng.uniform(0.2, 0.8)
+                make = lambda: ImpulseResponse.from_rational([1.0, -(w * b + (1 - w) * a), 0.0], [1.0, -(a + b), a * b])
+            else:
+                values = sorted(rng.normal(rng.uniform(-0.2, 1.0), 1.0, rng.integers(1, 300)).tolist(), reverse=True)
+                make = lambda: ImpulseResponse.from_samples([max(values[0], 1.0), *values[1:]])
+            outcomes.append(outcome(dominance_index, make))
+            assert outcomes[-1] == outcome(reference_dominance_index, make), k
+        assert sum(isinstance(o, str) for o in outcomes) == 30
+        assert max(o for o in outcomes if isinstance(o, int)) > 1024
 
     @pytest.mark.parametrize("bound", [dominance_index, period_bounds, default_pmax])
     def test_head_that_never_outweighs_its_tail_fails_fast(self, bound):

@@ -102,6 +102,12 @@ class TestCheckPlant:
         assert "monotone decay: FAIL" in out
         assert "support" in out
 
+    def test_rational_coefficients_print_as_plain_floats(self, capsys):
+        # numpy 2 writes an element of list(array) as np.float64(1.0)
+        assert cli.main(["check-plant", "--rational", "1,0/1,-0.9", "--delay", "3"]) == 0
+        plant = "plant: ImpulseResponse.from_rational(num=[1.0, 0.0], den=[1.0, -0.9])\n"
+        assert capsys.readouterr().out.startswith(plant)
+
     def test_missing_plant(self, capsys):
         rc = cli.main(["check-plant"])
         assert rc == 1
@@ -155,6 +161,16 @@ class TestAnalyze:
             for r in records
         ]
         assert [row.split(",") for row in text.splitlines()[1:]] == expected
+
+    def test_the_report_writes_the_plant_fields_unchanged(self, tmp_path, capsys):
+        # the coefficients are plain floats now; json wrote the numpy floats with the same digits
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--rational", "1,0/1,-0.9", "--delay", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        plant = '  "plant": {\n    "kind": "rational",\n    "num": [\n      1.0,\n      0.0\n    ],\n'
+        plant += '    "den": [\n      1.0,\n      -0.9\n    ]\n  },\n  "Pd": 3,\n  "chi0": 0.0,\n'
+        assert out.read_text().startswith("{\n" + plant)
+        assert json.loads(out.read_text())["plant"] == {"kind": "rational", "num": [1.0, 0.0], "den": [1.0, -0.9]}
 
     def test_dead_zone_case(self, capsys):
         rc = cli.main(
@@ -574,6 +590,100 @@ def test_help_still_exits_0(capsys):
         cli.main(["analyze", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: relayosc analyze")
+
+
+def test_importing_the_command_line_builds_no_parser():
+    # every benchmark set-up imports the module, so the parser waits for the first main call
+    src = os.path.dirname(os.path.dirname(relayosc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import relayosc.cli as cli; print(cli._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # the parser of every verb is built at the first call and serves every later one
+    builds, add_subparsers = [], cli._Parser.add_subparsers
+
+    def spy(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", spy)
+    cli._parser.cache_clear()
+    source = ["--geometric", "0.5", "--delay", "2"]
+    assert cli.main(["check-plant", *source]) == 0
+    assert cli.main(["analyze", *source, "--pmax", "6"]) == 0
+    assert cli.main(["sweep", *source, "--pmax", "6", "--out", str(tmp_path / "pts.csv")]) == 0
+    assert cli.main(["simulate", *source, "--steps", "60", "--seed", "1,-1"]) == 0
+    assert cli.main(["oracle", *source, "--pmax", "4"]) == 0
+    capsys.readouterr()
+    assert builds == ["relayosc"]
+
+
+#: the command-line examples of README.md, as written there
+README_EXAMPLES = [
+    ["check-plant", "--geometric", "0.1"],
+    ["check-plant", "--rational", "1,0/1,-0.9", "--delay", "3"],
+    ["check-plant", "--samples", "1,0.5,0.25"],
+    ["analyze", "--geometric", "0.1", "--delay", "9", "--out", "report.json"],
+    ["sweep", "--geometric", "0.1", "--delay", "1:12", "--pmax", "26", "--out", "points.csv"],
+    ["analyze", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "8"],
+    ["oracle", "--geometric", "0.1", "--delay", "3", "--dead-zone", "0.8", "--pmax", "6"],
+    ["simulate", "--geometric", "0.1", "--delay", "9", "--steps", "200"]
+    + ["--seed", "1,1,1,1,1,1,1,1,1,-1,-1,-1,-1,-1,-1,-1,-1,-1"]
+    + ["--seed", "1,1,1,-1,-1,-1,1,1,1,-1,-1,-1,1,1,1,-1,-1,-1"]
+    + ["--seed", "1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,1,-1"],
+]
+
+
+def _written(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_repeated_calls_in_one_process_equal_fresh_processes(tmp_path, monkeypatch, capsys):
+    # a usage error, --help and a seed that starts with '-' between two runs leave no trace in the parser
+    src = os.path.dirname(os.path.dirname(relayosc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fresh = []
+    for k, argv in enumerate(README_EXAMPLES):
+        run = tmp_path / f"fresh{k}"
+        run.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "relayosc.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=run,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr, _written(run)))
+
+    def in_process(tag):
+        results = []
+        for k, argv in enumerate(README_EXAMPLES):
+            run = tmp_path / f"{tag}{k}"
+            run.mkdir()
+            monkeypatch.chdir(run)
+            code = cli.main(list(argv))
+            out, err = capsys.readouterr()
+            results.append((code, out, err, _written(run)))
+        return results
+
+    assert in_process("first") == fresh
+    assert cli.main(["analyze", "--geometric", "0.1", "--delay", "3", "--steps", "50"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --steps 50\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: relayosc simulate")
+    assert cli.main(["simulate", "--geometric", "0.5", "--delay", "2", "--steps", "60", "--seed", "-1,1"]) == 0
+    assert capsys.readouterr().out.startswith("seed,period,phase")
+    assert in_process("second") == fresh
 
 
 @pytest.mark.parametrize(
