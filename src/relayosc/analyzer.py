@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,12 +28,11 @@ from .lti import (
     ImpulseResponse,
     PlantSpec,
     TruncationError,
+    _fold_table,
     check_monotone_decay,
     circulant,
-    cyclic_shift,
     is_convex_on_support,
     loop_matrix,
-    periodic_summation,
 )
 from .variation import _flags, _resolved_changes, relay_vec
 
@@ -60,8 +60,9 @@ __all__ = [
 
 #: low base-3 digits per oracle block, the first fixed at -1 (3**9 patterns per block)
 _ORACLE_CHUNK = 10
-#: candidate rows the analyzer screens at once, which bounds the screen's temporaries at any pmax
-_SCREEN_ROWS = 2048
+#: candidate rows the analyzer screens at once, which bounds the screen's temporaries at any pmax;
+#: a pmax 60 sweep (6845 rows) is one batch
+_SCREEN_ROWS = 8192
 
 
 class InternalCheckError(AssertionError):
@@ -353,17 +354,22 @@ def verify_fixed_point(plant: PlantSpec, pattern) -> Optional[OscillationRecord]
     return _record_from(u, s)
 
 
-def _rounding_bound(period: int, sigma: float) -> float:
+def _rounding_bound(period, sigma):
     """tau = 18 P u sigma (u = 2^-53), the rounding allowance of the judge and of both screens.
 
     Entry i of K @ s sums P exact terms (s_j in {-1, 0, 1}) of absolute sum at most sigma, in an
     order BLAS picks, so the product is off by at most gamma_{P-1} sigma (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 3.1, 4.2). Each screen derives why tau also covers
-    its own estimate of the entry. A kernel whose 8 sigma is not finite is refused; below that, no
-    sum that the judge or a screen forms overflows.
+    its own estimate of the entry. A kernel whose 8 sigma is not finite (sigma NaN or above an
+    eighth of the largest float) is refused, the first such period named; below that, no sum that
+    the judge or a screen forms overflows. Periods and sigmas may be arrays.
     """
-    if not np.isfinite(8 * sigma):
-        raise ValueError(f"loop kernel too large to decide at period {period}: its absolute sum is {sigma:g}")
+    refused = ~(np.asarray(sigma) <= sys.float_info.max / 8)
+    if refused.any():
+        at = np.argmax(refused)
+        raise ValueError(
+            f"loop kernel too large to decide at period {np.ravel(period)[at]}: its absolute sum is {np.ravel(sigma)[at]:g}"
+        )
     return 18 * period * 2.0**-53 * sigma
 
 
@@ -411,18 +417,27 @@ _SLOTS = (
 )
 
 
-def _prefix_sums(gens: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prefix sums of (c, c) of every period of ``gens`` one after the other, start of each, tau of each).
+def _delay_tables(folds: np.ndarray, periods: np.ndarray, delay: int) -> tuple[np.ndarray, tuple]:
+    """(generators, sums) of one delay from a batch's folds (:func:`lti._fold_table`), one row per period.
 
-    ``gens`` maps a period to its generator c and tau (:func:`_generator`); the two tables are indexed by period.
+    Row k of the generator table holds (c, c): c the fold of ``periods[k]`` rotated down by the
+    delay, the bits of :func:`loop_generator`, gathered in one step. The prefix sums of (c, c)
+    follow the same layout, one ``np.cumsum`` along every row, which adds in sequence as it would
+    over one row alone. Both tables are flat: period P's row starts at offset[P]. tau[P]
+    (:func:`_rounding_bound`) sums |c| over the unpadded row, as over c alone, since the rounding
+    of that sum depends on its length and on the rotation.
     """
-    size = max(gens) + 1
-    offset, tau = np.zeros(size, dtype=np.int64), np.zeros(size)
-    prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in gens.values()]
-    periods = np.fromiter(gens, dtype=np.int64, count=len(gens))
-    offset[periods] = np.cumsum(2 * periods + 1) - (2 * periods + 1)
-    tau[periods] = [t for _, t in gens.values()]
-    return np.concatenate(prefixes), offset, tau
+    width = 2 * folds.shape[1] + 1
+    gens, prefix = np.zeros((len(periods), width)), np.zeros((len(periods), width))
+    gens[:, :-1] = np.take_along_axis(folds, (np.arange(width - 1) - delay) % periods[:, None], axis=1)
+    np.cumsum(gens[:, :-1], axis=1, out=prefix[:, 1:])
+    magnitudes = np.abs(gens[:, : folds.shape[1]])
+    # np.add.reduce is the pairwise sum of .sum() without its Python wrapper
+    sigma = np.array([np.add.reduce(row[:p]) for row, p in zip(magnitudes, periods.tolist())])
+    offset, tau = np.zeros(periods[-1] + 1, dtype=np.int64), np.zeros(periods[-1] + 1)
+    offset[periods] = np.arange(len(periods)) * width
+    tau[periods] = _rounding_bound(periods, sigma)
+    return gens.ravel(), (prefix.ravel(), offset, tau)
 
 
 def _entries(prefix: np.ndarray, rows: np.ndarray, offset, slot) -> np.ndarray:
@@ -433,7 +448,7 @@ def _entries(prefix: np.ndarray, rows: np.ndarray, offset, slot) -> np.ndarray:
 
 
 def _screen(rows: np.ndarray, sums: tuple, dead_zone: float) -> np.ndarray:
-    """Indices of the rows (P, b, z1, a, z2) that no slot rejects, in order; ``sums`` from :func:`_prefix_sums`.
+    """Indices of the rows (P, b, z1, a, z2) that no slot rejects, in order; ``sums`` from :func:`_delay_tables`.
 
     Row (b, z1, a, z2) is s = [-^b 0^z1 +^a 0^z2]. Entry u_i of -(c conv s) is the sum of
     c[(i - j) mod P] over j < b minus that over the positive run, each a difference of prefix sums
@@ -457,39 +472,34 @@ def _screen(rows: np.ndarray, sums: tuple, dead_zone: float) -> np.ndarray:
     return keep
 
 
-def _cell_records(rows: np.ndarray, gens: dict, sums: tuple, dead_zone: float) -> list:
-    """Screen the rows at one dead zone, then judge the survivors; ``gens`` as in :func:`_prefix_sums`."""
+def _cell_records(rows: np.ndarray, gens: np.ndarray, sums: tuple, dead_zone: float) -> list:
+    """Screen the rows at one dead zone, then judge the survivors; ``gens`` and ``sums`` from :func:`_delay_tables`."""
     survivors = rows[_screen(rows, sums, dead_zone)].tolist()
+    _, offset, tau = sums
     out = []
     for period, group in itertools.groupby(survivors, key=lambda row: row[0]):
-        c, tau = gens[period]
-        K = -circulant(c)  # built only for a period with survivors
+        K = -circulant(gens[offset[period] :][:period])  # built only for a period with survivors
         for _, *runs in group:
             arr = np.repeat([-1.0, 0.0, 1.0, 0.0], runs)
-            u = _judge(K, arr, dead_zone, tau)
+            u = _judge(K, arr, dead_zone, tau[period])
             if u is not None:
                 out.append(_record_from(u, arr))
     return out
 
 
-def _generator(fold: np.ndarray, delay: int) -> tuple[np.ndarray, float]:
-    """(the fold rotated down by the delay, the bits of :func:`loop_generator`; its tau, :func:`_rounding_bound`)."""
-    c = cyclic_shift(fold, delay % fold.size)
-    return c, _rounding_bound(fold.size, float(np.abs(c).sum()))
-
-
-def _batch_records(plants: list, folds: dict, tops: dict, records: list) -> None:
+def _batch_records(plants: list, periods: np.ndarray, folds: np.ndarray, tops: dict, records: list) -> None:
     """Screen and judge one batch of folded periods for every plant, adding to its list in ``records``.
 
-    The rows are made once; each delay's generators, tau (the rounding of sum |c| depends on the
-    rotation) and prefix sums once, up to its pmax in ``tops``.
+    The rows are made once; each delay's tables (:func:`_delay_tables`) once, over the periods up
+    to its pmax in ``tops``.
     """
-    rows = _sweep_rows(list(folds))
+    rows = _sweep_rows(periods)
     for delay, top in tops.items():
-        gens = {period: _generator(fold, delay) for period, fold in folds.items() if period <= top}
-        if not gens:
+        k = np.searchsorted(periods, top, side="right")
+        if not k:
             continue
-        sums, mine = _prefix_sums(gens), rows[: np.searchsorted(rows[:, 0], top, side="right")]
+        gens, sums = _delay_tables(folds[:k, : periods[k - 1]], periods[:k], delay)
+        mine = rows[: np.searchsorted(rows[:, 0], top, side="right")]
         for plant, found in zip(plants, records):
             if plant.delay == delay:
                 found += _cell_records(mine, gens, sums, plant.dead_zone)
@@ -498,18 +508,20 @@ def _batch_records(plants: list, folds: dict, tops: dict, records: list) -> None
 def _sweep(plants: list, periods, tops: dict) -> list[list[OscillationRecord]]:
     """The analyzer's records for plants of one core response, over ``periods`` in order.
 
-    Each delay is swept up to its pmax in ``tops``. Each period is folded once for every plant (the
-    fold depends on neither the delay nor the dead zone) and screened in batches (:func:`_batch_records`).
+    Each delay is swept up to its pmax in ``tops``. The periods go in batches of at most about
+    ``_SCREEN_ROWS`` candidate rows; a batch is folded in one table for every plant (the fold
+    depends on neither the delay nor the dead zone, :func:`lti._fold_table`), then screened and
+    judged (:func:`_batch_records`).
     """
     records: list = [[] for _ in plants]
-    folds, rows = {}, 0
+    batch, rows = [], 0
     with np.errstate(over="ignore"):  # a fold whose absolute sum overflows is refused by _rounding_bound
         for period in periods:
-            folds[period] = periodic_summation(plants[0].g0, period)
+            batch.append(period)
             rows += 4 * period
             if rows >= _SCREEN_ROWS or period == periods[-1]:
-                _batch_records(plants, folds, tops, records)
-                folds, rows = {}, 0
+                _batch_records(plants, np.array(batch), _fold_table(plants[0].g0, batch), tops, records)
+                batch, rows = [], 0
     return records
 
 

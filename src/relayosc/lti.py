@@ -151,14 +151,18 @@ class _Mode(NamedTuple):
     anchor: int
 
 
-def _mode_fold(mode: _Mode, period: int) -> np.ndarray:
-    """The mode folded: per term (1/j!) d^j/dc^j c^e / (1 - c^P) at e = (i - anchor) mod P, i < P."""
+def _mode_fold(mode: _Mode, periods: list, e: np.ndarray) -> np.ndarray:
+    """The mode folded at each of ``periods`` (Python ints), one row each, given e = (i - anchor) mod P.
+
+    Per term (1/j!) d^j/dc^j c^e / (1 - c^P). The denominators are Python scalars per period, so
+    each row has the bits of a fold at that period alone.
+    """
     c, b = mode.pole, mode.coeffs
-    e = (np.arange(period) - mode.anchor) % period
-    out = b[0] * c**e / (1.0 - c**period)
+    bottom = [np.array([[1.0 - c**p] for p in periods])]
+    out = b[0] * c**e / bottom[0]
     if b.size > 1:
         top = [_binom(e, k) * c ** np.maximum(e - k, 0) for k in range(b.size)]
-        bottom = [1.0 - c**period] + [-_binom(period, k) * c ** (period - k) for k in range(1, b.size)]
+        bottom += [np.array([[-_binom(p, k) * c ** (p - k)] for p in periods]) for k in range(1, b.size)]
         out = out + sum(b[j] * q for j, q in enumerate(_series_div(top, bottom)) if j)
     return np.real(out)
 
@@ -509,22 +513,41 @@ def periodic_summation(g: ImpulseResponse, period: int) -> np.ndarray:
     Finite supports: the samples summed per residue class. Rational: each mode of the Jordan
     form folded in closed form (:func:`_mode_fold`), plus the head corrections; a simple pole c
     with coefficient b gives b c^i / (1 - c^P), so z/(z - r) folds to the bits of geometric r.
+    This is the one-row case of :func:`_fold_table`.
     """
     if period < 1:
         raise ValueError("period must be at least 1")
+    return _fold_table(g, [period])[0]
+
+
+def _fold_table(g: ImpulseResponse, periods) -> np.ndarray:
+    """The folds of g at ``periods``, one row each, as wide as the largest: row k starts with :func:`periodic_summation`.
+
+    Each row has the bits of its period's fold alone; its entries past its period are not the
+    fold. Geometric: one row gain r^i shared by all periods over the denominators 1 - r^P, Python
+    floats. Rational: each mode over all periods at once (:func:`_mode_fold`), then the head
+    corrections added in order, as ``np.add.at`` does. Finite: row by row, the residue classes
+    summed down the columns of the support reshaped.
+    """
+    periods = [int(p) for p in periods]  # Python ints: r^P is the bits of a Python power
+    width = max(periods)
     if g.kind == GEOMETRIC:
-        return g.gain * g.ratio ** np.arange(period) / (1.0 - g.ratio**period)
+        return g.gain * g.ratio ** np.arange(width) / np.array([[1.0 - g.ratio**p] for p in periods])
+    table = np.zeros((len(periods), width))
     if g.kind == SAMPLES:
         n = g.values.size
-        padded = np.zeros(-(-n // period) * period)
-        padded[:n] = g.values
-        return padded.reshape(-1, period).sum(axis=0)
+        for row, p in zip(table, periods):
+            padded = np.zeros(-(-n // p) * p)
+            padded[:n] = g.values
+            row[:p] = padded.reshape(-1, p).sum(axis=0)
+        return table
     modes, _, corrections, _ = g._modes
-    vals = np.zeros(period)
+    P = np.array(periods)[:, None]
+    e = {anchor: (np.arange(width) - anchor) % P for anchor in {mode.anchor for mode in modes}}
     for mode in modes:
-        vals = vals + _mode_fold(mode, period)
-    np.add.at(vals, np.arange(corrections.size) % period, corrections)
-    return vals
+        table = table + _mode_fold(mode, periods, e[mode.anchor])
+    np.add.at(table, (np.arange(len(periods))[:, None], np.arange(corrections.size) % P), corrections)
+    return table
 
 
 @dataclass(frozen=True)
@@ -658,11 +681,17 @@ def is_convex_on_support(g: ImpulseResponse) -> bool:
 
 
 def circulant(v) -> np.ndarray:
-    """Circulant matrix with first column v; columns are its down-rotations."""
+    """Circulant matrix with first column v; columns are its down-rotations.
+
+    Entry (i, j) is v[(i - j) mod n], entry n - 1 - i + j of v reversed and written twice. The
+    matrix is copied out of one strided view of that, rows stepping back, so it is C-contiguous
+    and no n x n index array is made. The view is an ``np.ndarray`` on that buffer, which checks
+    its bounds.
+    """
     x = np.asarray(v, dtype=float)
-    n = x.size
-    idx = np.arange(n)
-    return x[(idx[:, None] - idx[None, :]) % n]
+    n, back = x.size, np.concatenate((x[::-1], x[:0:-1]))  # 2n - 1 entries: n - 1 - i + j spans 0 .. 2n - 2
+    step = back.itemsize
+    return np.ndarray((n, n), float, back, max(n - 1, 0) * step, (-step, step)).copy()
 
 
 def cyclic_shift(v, k: int) -> np.ndarray:

@@ -27,18 +27,22 @@ from relayosc.analyzer import (
     PeriodBounds,
     _canonical_roll,
     _record_from,
+    _rounding_bound,
     enumerate_unimodal_patterns,
 )
 from relayosc.config import DEFAULTS
 from relayosc.lti import (
+    GEOMETRIC,
     MAX_HORIZON,
     SAMPLES,
     ImpulseResponse,
     PlantSpec,
     TruncationError,
+    _binom,
     _Mode,
-    _mode_fold,
+    _series_div,
     circulant,
+    cyclic_shift,
     loop_gain,
     loop_matrix,
 )
@@ -303,12 +307,99 @@ def fold_error_bound(g, period: int) -> np.ndarray:
     for mode in modes:
         c, b, R, A, anchor = mode
         m = b.size
-        F = [_mode_fold(_Mode(R, np.eye(m + 1)[j], R, None, anchor), period) for j in range(m + 1)]
+        F = [reference_mode_fold(_Mode(R, np.eye(m + 1)[j], R, None, anchor), period) for j in range(m + 1)]
         for j in range(m):
             model += 2 * ((A[j] - abs(b[j])) * F[j] + A[j] * (R - abs(c)) * (j + 1) * F[j + 1])
             scale += A[j] * F[j] * (1 + 1 / (1 - R**period))
     np.add.at(scale, np.arange(head.size) % period, np.abs(head))
     return model + 64 * (g.den.size + 1) * u * scale
+
+
+# -- one period at a time: the folds, generators and prefix sums the sweep's tables replace --
+
+
+def reference_mode_fold(mode: _Mode, period: int) -> np.ndarray:
+    """One mode folded at one period: per term (1/j!) d^j/dc^j c^e / (1 - c^P) at e = (i - anchor) mod P, i < P."""
+    c, b = mode.pole, mode.coeffs
+    e = (np.arange(period) - mode.anchor) % period
+    out = b[0] * c**e / (1.0 - c**period)
+    if b.size > 1:
+        top = [_binom(e, k) * c ** np.maximum(e - k, 0) for k in range(b.size)]
+        bottom = [1.0 - c**period] + [-_binom(period, k) * c ** (period - k) for k in range(1, b.size)]
+        out = out + sum(b[j] * q for j, q in enumerate(_series_div(top, bottom)) if j)
+    return np.real(out)
+
+
+def reference_periodic_summation(g: ImpulseResponse, period: int) -> np.ndarray:
+    """The fold of g at one period alone; each row of ``lti._fold_table`` must have its bits."""
+    if g.kind == GEOMETRIC:
+        return g.gain * g.ratio ** np.arange(period) / (1.0 - g.ratio**period)
+    if g.kind == SAMPLES:
+        n = g.values.size
+        padded = np.zeros(-(-n // period) * period)
+        padded[:n] = g.values
+        return padded.reshape(-1, period).sum(axis=0)
+    modes, _, corrections, _ = g._modes
+    vals = np.zeros(period)
+    for mode in modes:
+        vals = vals + reference_mode_fold(mode, period)
+    np.add.at(vals, np.arange(corrections.size) % period, corrections)
+    return vals
+
+
+def reference_generator(fold: np.ndarray, delay: int) -> tuple[np.ndarray, float]:
+    """(the fold rotated down by the delay, the loop generator's bits; its tau from sum |c| over that rotation)."""
+    c = cyclic_shift(fold, delay % fold.size)
+    return c, _rounding_bound(fold.size, float(np.abs(c).sum()))
+
+
+def reference_prefix_sums(gens: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prefix sums of (c, c) of every period of ``gens`` one after the other, start of each, tau of each).
+
+    ``gens`` maps a period to its :func:`reference_generator`; the two tables are indexed by period.
+    """
+    size = max(gens) + 1
+    offset, tau = np.zeros(size, dtype=np.int64), np.zeros(size)
+    prefixes = [np.concatenate(([0.0], np.cumsum(np.concatenate((c, c))))) for c, _ in gens.values()]
+    periods = np.fromiter(gens, dtype=np.int64, count=len(gens))
+    offset[periods] = np.cumsum(2 * periods + 1) - (2 * periods + 1)
+    tau[periods] = [t for _, t in gens.values()]
+    return np.concatenate(prefixes), offset, tau
+
+
+def reference_circulant(v) -> np.ndarray:
+    """The circulant with first column v gathered through an n x n index array: entry (i, j) is v[(i - j) mod n]."""
+    x = np.asarray(v, dtype=float)
+    idx = np.arange(x.size)
+    return x[(idx[:, None] - idx[None, :]) % x.size]
+
+
+def batch_table_cases() -> list:
+    """(response, periods) whose batch tables are checked row by row against one period at a time.
+
+    Geometric responses with gains other than 1 up to P = 3000 and their rational twins, complex
+    pole pairs, a double pole, roots 1e-9 apart that cluster into one, two near simple poles, and
+    finite supports shorter and longer than the periods.
+    """
+    rng = np.random.default_rng(27)
+
+    def periods(top):
+        return sorted({1, 2, top, *rng.integers(1, top, 25).tolist()})
+
+    cases = []
+    for ratio, gain in ((0.3, 1.0), (0.9, 2.5), (0.999, 0.37), (0.9999, 1.7)):
+        cases.append((ImpulseResponse.geometric(ratio, gain), periods(3000)))
+        cases.append((ImpulseResponse.from_rational([gain, 0.0], [1.0, -ratio]), periods(400)))  # its twin
+    for radius, angle in ((0.5, 0.3), (0.9, 2.0), (0.97, 0.05)):
+        pair = [radius * np.exp(1j * angle), radius * np.exp(-1j * angle)]
+        cases.append((ImpulseResponse.from_rational([1.0, -0.4, 0.2], np.real(np.poly(pair))), periods(400)))
+        cases.append((ImpulseResponse.from_rational([0.5, 0.1, 0.0, 0.3], np.real(np.poly(pair + [-0.6]))), periods(200)))
+    for gap in (0.0, 1e-9, 1e-6):
+        cases.append((ImpulseResponse.from_rational([1.0, 0.2, -0.1, 0.05], np.poly([0.8, 0.8 + gap, 0.3])), periods(400)))
+    for length in (1, 7, 60):
+        taps = [float(rng.uniform(0.1, 2.0))] + rng.uniform(-1.0, 2.0, length - 1).tolist()
+        cases.append((ImpulseResponse.from_samples(taps), periods(120)))
+    return cases
 
 
 def exact_geometric_fixed_point(ratio, delay: int, pattern, dead_zone=0) -> bool:

@@ -9,9 +9,8 @@ from relayosc import analyzer
 from relayosc.analyzer import (
     _SLOTS,
     _digit_table,
+    _delay_tables,
     _entries,
-    _generator,
-    _prefix_sums,
     _screen,
     _sweep_rows,
     brute_force_fixed_points,
@@ -28,15 +27,19 @@ from relayosc.analyzer import (
     period_records,
     verify_fixed_point,
 )
-from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, loop_generator, loop_matrix, periodic_summation
+from relayosc.lti import ImpulseResponse, PlantSpec, TruncationError, _fold_table, loop_generator, loop_matrix
 from relayosc.variation import max_cyclic_sign_changes, relay_vec, sign_counts
 
 from conftest import (
+    batch_table_cases,
     exact_geometric_fixed_point,
     fraction_sums,
     reference_brute_force_fixed_points,
     reference_dominance_index,
+    reference_generator,
     reference_period_records,
+    reference_periodic_summation,
+    reference_prefix_sums,
     reference_unimodal_patterns,
     report_from_dict,
     responses,
@@ -653,11 +656,9 @@ class TestScreenThenVerify:
             plants += twin_plants(float(rng.uniform(0.02, 0.99)), int(rng.integers(1, 10)))
         worst = 0.0
         for plant in plants:
-            folds = folded(plant, range(2, 121))
-            prefix, offset, tau = _prefix_sums(folds)
-            all_rows = _sweep_rows(list(folds))
-            for period in folds:
-                assert tau[period] == folds[period][1]
+            _, (prefix, offset, tau) = tables(plant, range(2, 121))
+            all_rows = _sweep_rows(range(2, 121))
+            for period in range(2, 121):
                 rows = all_rows[all_rows[:, 0] == period]
                 K, patterns = loop_matrix(plant, period), shape_patterns(rows[:, 1:], period)
                 for slot_level in _SLOTS:
@@ -674,9 +675,8 @@ class TestScreenThenVerify:
         taps = ImpulseResponse.from_samples([1.0, 0.96, -0.74, 0.97, 0.11, -0.53])
         alone = np.zeros(len(_SLOTS), dtype=int)
         for plant in (PlantSpec(taps, 4, 0.77), PlantSpec(taps, 2), geometric_plant(0.6, 3, 0.03)):
-            folds = folded(plant, range(2, 41))
-            prefix, offset, tau = _prefix_sums(folds)
-            rows = _sweep_rows(list(folds))
+            _, (prefix, offset, tau) = tables(plant, range(2, 41))
+            rows = _sweep_rows(range(2, 41))
             P = rows[:, 0]
             rejects = np.array([
                 analyzer._margin(_entries(prefix, rows, offset[P], slot), level, plant.dead_zone) < -tau[P]
@@ -692,8 +692,7 @@ class TestScreenThenVerify:
         for ratio in (0.1, 0.6, 0.95):
             for twin in twin_plants(ratio, 3) + twin_plants(ratio, 5):
                 edge = dead_zone_threshold(twin)
-                folds = folded(twin, range(2, 25))
-                rows, sums = _sweep_rows(list(folds)), _prefix_sums(folds)
+                rows, (_, sums) = _sweep_rows(range(2, 25)), tables(twin, range(2, 25))
                 for dz in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
                     dz = float(dz)
                     kept = np.zeros(len(rows), dtype=bool)
@@ -728,38 +727,38 @@ class TestScreenThenVerify:
         # 78 805 candidates; the screen passes exactly the 3 fixed families on
         # to K @ s, so it cannot quietly fall back to verifying everything
         plant = geometric_plant(0.1, 9)
-        folds = folded(plant, range(2, 201))
-        rows = _sweep_rows(list(folds))
-        assert (len(rows), len(_screen(rows, _prefix_sums(folds), 0.0))) == (78805, 3)
+        rows, (_, sums) = _sweep_rows(range(2, 201)), tables(plant, range(2, 201))
+        assert (len(rows), len(_screen(rows, sums, 0.0))) == (78805, 3)
         assert len(find_oscillations(plant, pmax=200).records) == 3
 
     def test_a_long_sweep_screens_in_several_batches(self, monkeypatch):
-        # pmax 60 fills three batches and pmax 200 many more; a batch is flushed once it
-        # reaches its size, and the records are the same as one period at a time
+        # pmax 60 (6845 rows) is one batch and pmax 200 (78 805) fills ten; a batch is flushed
+        # once it reaches the cap, and the records are the same as one period at a time
         plant = geometric_plant(0.1, 9)
         batches = []
         batch_records = analyzer._batch_records
 
-        def spy(plants, folds, *rest):
-            batches.append(list(folds))
-            return batch_records(plants, folds, *rest)
+        def spy(plants, periods, *rest):
+            batches.append(periods.tolist())
+            return batch_records(plants, periods, *rest)
 
         monkeypatch.setattr(analyzer, "_batch_records", spy)
-        for pmax in (60, 200):
+        for pmax, count in ((60, 1), (200, 10)):
             batches.clear()
             report = find_oscillations(plant, pmax=pmax)
+            assert len(batches) == count
             assert [p for batch in batches for p in batch] == list(range(2, pmax + 1))
             assert all(len(_sweep_rows(batch[:-1])) < analyzer._SCREEN_ROWS for batch in batches)
+            assert all(4 * sum(batch) >= analyzer._SCREEN_ROWS for batch in batches[:-1])
             assert record_keys(report.records) == record_keys(
                 [r for period in range(2, pmax + 1) for r in period_records(plant, period)]
             )
-        assert len(batches) > 10
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         responses(),
         st.integers(0, 8),
-        st.integers(2, 12) | st.integers(46, 50),  # 46 and up cross two batch flushes
+        st.integers(2, 12) | st.integers(46, 50),  # 46 and up cross two batch flushes at a cap of 2048 rows
         st.sampled_from(["zero", "edge", "below", "above", "random"]),
         st.floats(0.0, 2.0),
     )
@@ -773,14 +772,34 @@ class TestScreenThenVerify:
             "random": random_dead_zone,
         }[where]
         plant = PlantSpec(g, delay, float(dead_zone))
-        assert outcome(lambda: find_oscillations(plant, pmax).records) == outcome(lambda: reference_sweep(plant, pmax))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analyzer, "_SCREEN_ROWS", 2048)
+            found = outcome(lambda: find_oscillations(plant, pmax).records)
+        assert found == outcome(lambda: reference_sweep(plant, pmax))
 
 
-def folded(plant, periods):
-    """Each period's generator and tau, as the sweep keeps them; the generator is the loop generator's bits."""
-    gens = {period: _generator(periodic_summation(plant.g0, period), plant.delay) for period in periods}
-    assert all(np.array_equal(c, loop_generator(plant, period)) for period, (c, _) in gens.items())
-    return gens
+def tables(plant, periods):
+    """The (generators, sums) of the plant's delay over ``periods``, as one batch of the sweep builds them."""
+    periods = np.array(list(periods))
+    return _delay_tables(_fold_table(plant.g0, periods), periods, plant.delay)
+
+
+class TestBatchTables:
+    def test_every_row_is_its_period_alone(self):
+        # the generator, tau and prefix-sum rows of a batch against one period at a time, bit for
+        # bit; the generators are the loop generator's bits
+        for g, periods in batch_table_cases():
+            folds = _fold_table(g, periods)
+            for delay in (0, 1, 7, 61):
+                gens, (prefix, offset, tau) = _delay_tables(folds, np.array(periods), delay)
+                alone = {period: reference_generator(reference_periodic_summation(g, period), delay) for period in periods}
+                ref_prefix, ref_offset, _ = reference_prefix_sums(alone)
+                for period, (c, t) in alone.items():
+                    start, ref_start = offset[period], ref_offset[period]
+                    assert gens[start:][: 2 * period].tobytes() == np.concatenate((c, c)).tobytes(), (g, period)
+                    assert prefix[start:][: 2 * period + 1].tobytes() == ref_prefix[ref_start:][: 2 * period + 1].tobytes()
+                    assert tau[period] == t
+                    assert c.tobytes() == loop_generator(PlantSpec(g, delay), period).tobytes()
 
 
 def reference_sweep(plant, pmax):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import relayosc
-from relayosc import analyzer, cli, lti
+from relayosc import analyzer, cli
 from relayosc.analyzer import find_oscillations, verify_fixed_point
 from relayosc.lti import ImpulseResponse, PlantSpec
 
@@ -275,14 +275,13 @@ class TestSweep:
 
     def test_a_sweep_folds_each_period_once(self, tmp_path, monkeypatch, capsys):
         # the fold depends on neither the delay nor the dead zone, so 24 cells share one per period
-        folds, fold = [], lti.periodic_summation
+        folds, fold = [], analyzer._fold_table
 
-        def spy(g, period):
-            folds.append(period)
-            return fold(g, period)
+        def spy(g, periods):
+            folds.extend(periods)
+            return fold(g, periods)
 
-        monkeypatch.setattr(lti, "periodic_summation", spy)
-        monkeypatch.setattr(analyzer, "periodic_summation", spy)
+        monkeypatch.setattr(analyzer, "_fold_table", spy)
         argv = ["sweep", "--rational", "1,0/1,-0.9", "--delay", "1:12", "--dead-zone", "0,0.1"]
         assert cli.main(argv + ["--out", str(tmp_path / "pts.csv")]) == 0
         capsys.readouterr()

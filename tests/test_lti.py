@@ -12,6 +12,7 @@ from relayosc.lti import (
     PlantSpec,
     TruncationError,
     UnstablePlantError,
+    _fold_table,
     check_monotone_decay,
     circulant,
     cyclic_shift,
@@ -24,12 +25,15 @@ from relayosc.lti import (
 )
 
 from conftest import (
+    batch_table_cases,
     circulant_apply,
     direct_periodic_summation,
     exact_rational_fold,
     fold_error_bound,
     horizon,
     load_plant,
+    reference_circulant,
+    reference_periodic_summation,
     reference_rational_head,
     save_plant,
     time_limit,
@@ -391,7 +395,28 @@ class TestPeriodicSummation:
         assert first == pytest.approx(0.88911, abs=5e-6)
 
 
+class TestFoldTable:
+    def test_every_row_is_the_fold_at_its_period_alone(self):
+        # bit for bit (-0.0 apart from 0.0 too), in tables of any width
+        for g, periods in batch_table_cases():
+            table = _fold_table(g, periods)
+            assert table.shape == (len(periods), periods[-1])
+            for row, period in zip(table, periods):
+                assert row[:period].tobytes() == reference_periodic_summation(g, period).tobytes(), (g, period)
+            assert periodic_summation(g, periods[-1]).tobytes() == table[-1].tobytes()
+
+
 class TestCirculant:
+    def test_the_strided_copy_is_the_index_gather(self, rng):
+        # the same entries as the n x n index gather, and C-contiguous, so K @ s keeps BLAS's order and its bits
+        for n in range(1, 302):
+            v, s = rng.normal(size=n), rng.choice([-1.0, 0.0, 1.0], size=n)
+            K = circulant(v)
+            assert K.flags.c_contiguous
+            assert K.tobytes() == reference_circulant(v).tobytes()
+            assert (K @ s).tobytes() == (reference_circulant(v) @ s).tobytes()
+        assert circulant([]).shape == (0, 0)
+
     def test_identity_generator(self, rng):
         w = rng.normal(size=7)
         np.testing.assert_allclose(circulant_apply(np.eye(7)[0], w), w, rtol=1e-15)

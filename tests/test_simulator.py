@@ -382,3 +382,62 @@ class TestClassify:
         plant = fast_plant(2, 0.5)
         flags = classify(np.zeros(4), plant)
         assert not flags.is_self_oscillation and flags.residual == 0.0
+
+
+def third_judge_plants() -> list:
+    """30 plants drawn from a fixed seed: geometric, two-pole rational (real or complex poles) and
+    falling finite responses in turn, delays 1-6, dead zones up to 0.4 of the absolute sum."""
+    rng = np.random.default_rng(17)
+    plants = []
+    for k in range(30):
+        if k % 3 == 0:
+            g = ImpulseResponse.geometric(float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.5, 2.0)))
+        elif k % 3 == 1:
+            radius, angle = float(rng.uniform(0.1, 0.8)), float(rng.uniform(0.0, 3.0))
+            poles = [radius * np.exp(1j * angle), radius * np.exp(-1j * angle)] if k % 2 else rng.uniform(0.05, 0.8, 2)
+            num = [1.0, float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.2, 0.2))]
+            g = ImpulseResponse.from_rational(num, np.real(np.poly(poles)))
+        else:
+            g = ImpulseResponse.from_samples(np.sort(rng.uniform(0.05, 1.0, int(rng.integers(1, 12))))[::-1])
+        plants.append(PlantSpec(g, int(rng.integers(1, 7)), float(rng.uniform(0.0, 0.4)) * g.l1_bound()))
+    return plants
+
+
+class TestThirdJudge:
+    """The simulator judges the analyzer's records with no code of the sweep: random relay seeds
+    must settle only on records, and each record seeded with itself must persist."""
+
+    def test_every_admissible_steady_state_is_a_record(self):
+        rng = np.random.default_rng(18)
+        steady = 0
+        for plant in third_judge_plants():
+            records = {r.pattern: r for r in find_oscillations(plant).records}
+            for _ in range(16):
+                traj = simulate(plant, rng.integers(-1, 2, int(rng.integers(1, 40))).tolist(), 400)
+                found = detect_period(traj)
+                if found is None:
+                    continue
+                period, phase = found
+                u = np.roll(traj.u[-period:], phase)
+                flags = classify(u, plant)
+                if flags.is_self_oscillation and flags.admissible:
+                    steady += 1
+                    assert flags.pattern in records, (plant, flags.pattern)
+                    np.testing.assert_allclose(records[flags.pattern].waveform, u, rtol=0, atol=1e-9)
+        assert steady > 100  # the check is not vacuous
+
+    def test_every_record_seeded_with_itself_settles_at_its_period(self):
+        # the seed repeats the pattern three times over and spans at least 200 samples: on shorter
+        # seeds the zero history before them moves a relay decision of some period-2 records, as a
+        # 6-sample seed does for responses of 7 taps. Settled means the trailing relay outputs
+        # repeat the pattern, read off the trajectory itself
+        checked = 0
+        for plant in third_judge_plants():
+            for record in find_oscillations(plant).records:
+                period = record.period
+                traj = simulate(plant, list(record.pattern) * max(3, -(-200 // period)), 8 * period + 200)
+                tail = traj.relay_out[-3 * period :]
+                assert np.array_equal(tail[period:], tail[:-period]), (plant, record.pattern)
+                assert canonical_rotation(tail[-period:].tolist()) == record.pattern, (plant, record.pattern)
+                checked += 1
+        assert checked > 30
