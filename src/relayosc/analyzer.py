@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -360,13 +359,13 @@ def _rounding_bound(period, sigma):
     Entry i of K @ s sums P exact terms (s_j in {-1, 0, 1}) of absolute sum at most sigma, in an
     order BLAS picks, so the product is off by at most gamma_{P-1} sigma (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 3.1, 4.2). Each screen derives why tau also covers
-    its own estimate of the entry. A kernel whose 8 sigma is not finite (sigma NaN or above an
-    eighth of the largest float) is refused, the first such period named; below that, no sum that
-    the judge or a screen forms overflows. Periods and sigmas may be arrays.
+    its own estimate of the entry. A kernel whose 8 sigma is not finite is refused, the first such
+    period named; below that, no sum that the judge or a screen forms overflows. Periods and sigmas
+    may be arrays.
     """
-    refused = ~(np.asarray(sigma) <= sys.float_info.max / 8)
-    if refused.any():
-        at = np.argmax(refused)
+    finite = np.isfinite(8 * sigma)  # a Python float overflows to inf without a warning
+    if not finite.all():
+        at = np.argmin(finite)
         raise ValueError(
             f"loop kernel too large to decide at period {np.ravel(period)[at]}: its absolute sum is {np.ravel(sigma)[at]:g}"
         )

@@ -781,7 +781,9 @@ class TestScreenThenVerify:
 def tables(plant, periods):
     """The (generators, sums) of the plant's delay over ``periods``, as one batch of the sweep builds them."""
     periods = np.array(list(periods))
-    return _delay_tables(_fold_table(plant.g0, periods), periods, plant.delay)
+    gens, sums = _delay_tables(_fold_table(plant.g0, periods), periods, plant.delay)
+    assert all(gens[sums[1][p] :][:p].tobytes() == loop_generator(plant, p).tobytes() for p in periods.tolist())
+    return gens, sums
 
 
 class TestBatchTables:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import relayosc
-from relayosc import analyzer, cli
+from relayosc import analyzer, cli, lti
 from relayosc.analyzer import find_oscillations, verify_fixed_point
 from relayosc.lti import ImpulseResponse, PlantSpec
 
@@ -281,6 +281,7 @@ class TestSweep:
             folds.extend(periods)
             return fold(g, periods)
 
+        monkeypatch.setattr(lti, "_fold_table", spy)
         monkeypatch.setattr(analyzer, "_fold_table", spy)
         argv = ["sweep", "--rational", "1,0/1,-0.9", "--delay", "1:12", "--dead-zone", "0,0.1"]
         assert cli.main(argv + ["--out", str(tmp_path / "pts.csv")]) == 0
